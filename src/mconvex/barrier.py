@@ -221,6 +221,19 @@ def rho0(
     return float(profile.value(max(res.distance, -collar.eps0)))
 
 
+@dataclass(frozen=True)
+class BarrierJets:
+    """First and second jets of the defining function at B points in R^n.
+
+    ``gradient`` (B, n), ``hessian`` (B, n, n), and ``spectrum`` (B, n), the
+    analytic Hessian eigenvalues in ascending order.
+    """
+
+    gradient: np.ndarray
+    hessian: np.ndarray
+    spectrum: np.ndarray
+
+
 class BarrierFunction:
     """The assembled defining function ``c * chi(h(delta))`` with its jets.
 
@@ -275,64 +288,69 @@ class BarrierFunction:
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         return self.value_from_delta(self.delta_batch(points))
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        res = tubular.signed_distance(self.domain, x, self.settings)
-        if res.distance <= -self.collar.eps2:
-            return np.zeros(self.domain.dim)
-        grad_d = self._grad_delta(x, res)
-        r0 = self.profile.value(res.distance)
+    def chain_coefficients(self, delta):
+        """The chain rule for ``rho = c * chi(h(delta))`` at signed distances.
+
+        Returns ``(first, second)`` with the shape of ``delta``: with
+        ``r = h(delta)``,
+
+            first  = c chi'(r) h'(delta)
+            second = c (chi'(r) h''(delta) + chi''(r) h'(delta)^2)
+
+        so that ``grad rho = first * grad delta`` and
+        ``Hess rho = first * Hess delta + second * grad delta grad delta^T``.
+        """
+        r = self.profile.value(delta)
+        h1 = self.profile.d1(delta)
+        c1 = self.cap.d1(r)
         return (
-            self.scale
-            * float(self.cap.d1(r0))
-            * float(self.profile.d1(res.distance))
-            * grad_d
+            self.scale * c1 * h1,
+            self.scale * (c1 * self.profile.d2(delta) + self.cap.d2(r) * h1 * h1),
         )
+
+    def jets(self, points: np.ndarray) -> BarrierJets:
+        """Gradient, Hessian and predicted spectrum at B points.
+
+        ``points`` has shape (B, n), or (n,) for one point; see
+        :class:`BarrierJets` for the output shapes. ``Hess delta`` has the
+        transported curvatures on the boundary frame and zero along
+        ``grad delta``, so the spectrum is ``first`` times those curvatures
+        plus ``second`` (see :meth:`chain_coefficients`). Rows on the
+        plateau ``delta <= -eps2`` get zero jets; one batched projection and
+        frame solve serve the rest.
+        """
+        jet = tubular.distance_jet(
+            self.domain, points, self.settings, floor=-self.collar.eps2
+        )
+        a = jet.active
+        nb, dim = jet.grad.shape
+        gradient = np.zeros((nb, dim))
+        hessian = np.zeros((nb, dim, dim))
+        spectrum = np.zeros((nb, dim))
+        if np.any(a):
+            first, second = self.chain_coefficients(jet.delta[a])
+            first, second = first[:, None], second[:, None]
+            g = jet.grad[a]
+            gradient[a] = first * g
+            hessian[a] = first[..., None] * jet.hessian()[a] + second[..., None] * (
+                g[:, :, None] * g[:, None, :]
+            )
+            spectrum[a] = np.sort(
+                np.concatenate([first * jet.curvatures[a], second], axis=-1), axis=-1
+            )
+        return BarrierJets(gradient, hessian, spectrum)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.jets(x).gradient[0]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Chain-rule Hessian, exact in the nearest-point frame."""
-        x = np.asarray(x, dtype=float)
-        res = tubular.signed_distance(self.domain, x, self.settings)
-        dim = self.domain.dim
-        if res.distance <= -self.collar.eps2:
-            return np.zeros((dim, dim))
-        sp = surfaces.principal_curvatures(self.domain, res.foot)
-        nu_x = tubular.transport_curvatures(sp, res.distance)
-        grad_d = self._grad_delta(x, res)
-        hess_d = np.zeros((dim, dim))
-        for j in range(nu_x.size):
-            d = sp.directions[j]
-            hess_d += nu_x[j] * np.outer(d, d)
-        t = res.distance
-        r0 = float(self.profile.value(t))
-        h1 = float(self.profile.d1(t))
-        h2 = float(self.profile.d2(t))
-        c1 = float(self.cap.d1(r0))
-        c2 = float(self.cap.d2(r0))
-        normal_coeff = c1 * h2 + c2 * h1 * h1
-        return self.scale * (
-            c1 * h1 * hess_d + normal_coeff * np.outer(grad_d, grad_d)
-        )
+        return self.jets(x).hessian[0]
 
     def eigen_list(self, x: np.ndarray) -> np.ndarray:
         """The analytic Hessian spectrum: scaled transported curvatures plus
         the normal eigenvalue, sorted ascending."""
-        x = np.asarray(x, dtype=float)
-        res = tubular.signed_distance(self.domain, x, self.settings)
-        dim = self.domain.dim
-        if res.distance <= -self.collar.eps2:
-            return np.zeros(dim)
-        sp = surfaces.principal_curvatures(self.domain, res.foot)
-        nu_x = tubular.transport_curvatures(sp, res.distance)
-        t = res.distance
-        r0 = float(self.profile.value(t))
-        h1 = float(self.profile.d1(t))
-        h2 = float(self.profile.d2(t))
-        c1 = float(self.cap.d1(r0))
-        c2 = float(self.cap.d2(r0))
-        tangent = self.scale * c1 * h1 * nu_x
-        normal = self.scale * (c1 * h2 + c2 * h1 * h1)
-        return np.sort(np.append(tangent, normal))
+        return self.jets(x).spectrum[0]
 
     def level_delta(self, t: float) -> float:
         """Signed distance of the level set {rho = t} for t in (-1, 0)."""
@@ -344,52 +362,9 @@ class BarrierFunction:
         """Analytic Hessians and predicted spectra for many points at once.
 
         Returns ``(hessians, eigen_lists)`` of shapes (B, n, n) and (B, n).
-        One batched projection solve feeds all the frames.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        nb, dim = points.shape
-        feet, dlt, mult = tubular.project_batch(self.domain, points, self.settings)
-        hessians = np.zeros((nb, dim, dim))
-        spectra = np.zeros((nb, dim))
-        for i in range(nb):
-            t = dlt[i]
-            if t <= -self.collar.eps2:
-                continue
-            if mult[i] > 1:
-                raise tubular.FocalPointError(
-                    f"point {points[i].tolist()} is beyond the reach"
-                )
-            sp = surfaces.principal_curvatures(self.domain, feet[i])
-            nu_x = tubular.transport_curvatures(sp, t)
-            if abs(t) < 1e-12 * (1.0 + np.linalg.norm(points[i])):
-                grad_d = -sp.inner_normal
-            else:
-                grad_d = (points[i] - feet[i]) / t
-            r0 = float(self.profile.value(t))
-            h1 = float(self.profile.d1(t))
-            h2 = float(self.profile.d2(t))
-            c1 = float(self.cap.d1(r0))
-            c2 = float(self.cap.d2(r0))
-            tangent_coeff = self.scale * c1 * h1
-            normal_coeff = self.scale * (c1 * h2 + c2 * h1 * h1)
-            h = normal_coeff * np.outer(grad_d, grad_d)
-            for j in range(nu_x.size):
-                d = sp.directions[j]
-                h += tangent_coeff * nu_x[j] * np.outer(d, d)
-            hessians[i] = h
-            spectra[i] = np.sort(np.append(tangent_coeff * nu_x, normal_coeff))
-        return hessians, spectra
-
-    def _grad_delta(self, x: np.ndarray, res) -> np.ndarray:
-        if res.multiplicity > 1:
-            raise tubular.FocalPointError(
-                f"point {x.tolist()} is beyond the reach (multiplicity "
-                f"{res.multiplicity})"
-            )
-        if abs(res.distance) < 1e-12 * (1.0 + np.linalg.norm(x)):
-            g = np.asarray(self.domain.grad(res.foot), dtype=float)
-            return g / np.linalg.norm(g)
-        return (x - res.foot) / res.distance
+        jets = self.jets(points)
+        return jets.hessian, jets.spectrum
 
 
 def build_barrier(
@@ -411,11 +386,11 @@ def build_barrier(
     the tubular radius of the boundary (callers pass a reach estimate).
     """
     samples = domain.boundary_samples(boundary_check_samples)
-    for row in samples:
-        sp = surfaces.principal_curvatures(domain, row)
-        sigma = surfaces.m_convexity_defect(sp, m)
-        if sigma < -convexity_tol:
-            raise MConvexityError(row, sigma, m)
+    sigma = surfaces.m_convexity_defect(surfaces.boundary_frames(domain, samples), m)
+    concave = sigma < -convexity_tol
+    if np.any(concave):
+        i = int(np.argmax(concave))
+        raise MConvexityError(samples[i], float(sigma[i]), m)
     a = default_alpha(m, eps) if alpha is None else float(alpha)
     profile = make_profile(a, m, eps)
     collar = choose_collar(profile, eps, safety=safety, ratios=tuple(ratios))
@@ -473,17 +448,17 @@ def verify_barrier(
     checks = []
     hessians, spectra = bf.hessian_batch(interior_points)
 
-    # (a) m-plurisubharmonicity margins over the interior grid
-    worst = np.inf
-    worst_pt = interior_points[0]
-    for i, row in enumerate(interior_points):
-        margin = mpsh.min_m_trace(hessians[i], bf.m)
-        if margin < worst:
-            worst, worst_pt = margin, row
+    # (a) m-plurisubharmonicity margins over the interior grid; the same
+    # eigen solve serves the spectrum check (d)
+    actual = numkit.sym_eigen(hessians).eigenvalues
+    margins = mpsh.sum_smallest(actual, bf.m)
+    widx = int(np.argmin(margins))
+    worst = float(margins[widx])
+    worst_pt = interior_points[widx]
     checks.append(
         BarrierCheck(
             name="psh-margin",
-            worst_value=float(worst),
+            worst_value=worst,
             threshold=-psh_tol,
             passed=bool(worst >= -psh_tol),
             worst_point=worst_pt,
@@ -512,8 +487,7 @@ def verify_barrier(
     deltas_all = bf.delta_batch(all_pts)
     vals_all = bf.value_from_delta(deltas_all)
     regular_mask = (vals_all > -1.0) & (vals_all <= 0.0)
-    r0_all = bf.profile.value(deltas_all)
-    gnorms = bf.scale * bf.cap.d1(r0_all) * bf.profile.d1(deltas_all)
+    gnorms = bf.chain_coefficients(deltas_all)[0]
     worst_g = np.inf
     worst_gpt = None
     regular = int(np.sum(regular_mask))
@@ -536,25 +510,20 @@ def verify_barrier(
     # (d) analytic spectrum equals the transported-curvature list; optional
     # finite-difference cross-check on inner-collar points, where the cap is
     # the identity and differencing is well conditioned
-    worst_eig = 0.0
-    worst_ept = None
-    for i, row in enumerate(interior_points):
-        actual = numkit.sym_eigen(hessians[i]).eigenvalues
-        err = float(np.max(np.abs(spectra[i] - actual)))
-        if err > worst_eig:
-            worst_eig, worst_ept = err, row
+    errs = np.max(np.abs(spectra - actual), axis=-1)
+    err_pts = interior_points
     if fd_check_count > 0:
         deltas = bf.delta_batch(interior_points)
         inner = interior_points[deltas > -0.95 * bf.collar.eps1][:fd_check_count]
         if len(inner):
             fd = numkit.hessian_fd_richardson_batch(bf.value_batch, inner, 1e-3)
             _, pred = bf.hessian_batch(inner)
-            for i, row in enumerate(inner):
-                err = float(
-                    np.max(np.abs(np.sort(np.linalg.eigvalsh(fd[i])) - pred[i]))
-                )
-                if err > worst_eig:
-                    worst_eig, worst_ept = err, row
+            fd_errs = np.max(np.abs(np.linalg.eigvalsh(fd) - pred), axis=-1)
+            errs = np.concatenate([errs, fd_errs])
+            err_pts = np.concatenate([interior_points, inner])
+    eidx = int(np.argmax(errs))
+    worst_eig = float(errs[eidx])
+    worst_ept = err_pts[eidx] if worst_eig > 0.0 else None
     checks.append(
         BarrierCheck(
             name="eigen-list",

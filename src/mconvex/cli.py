@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,19 +19,9 @@ from .report import CheckRecord, Report, emit, write_atomic
 CHUNK = 256
 
 
-def chunked_map(fn, items: np.ndarray, workers: int):
-    """Apply fn to fixed-size chunks, merging in chunk order.
-
-    The chunk size never depends on the worker count, so results are
-    identical for any number of workers.
-    """
-    chunks = [items[i : i + CHUNK] for i in range(0, len(items), CHUNK)]
-    if workers <= 1 or len(chunks) <= 1:
-        results = [fn(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, chunks))
-    return results
+def chunked_map(fn, items: np.ndarray):
+    """Apply fn to fixed-size chunks of items, returning results in chunk order."""
+    return [fn(items[i : i + CHUNK]) for i in range(0, len(items), CHUNK)]
 
 
 def _build_domain(cfg: AnalysisConfig) -> surfaces.ImplicitDomain:
@@ -83,24 +72,18 @@ def _run_curvature(cfg: AnalysisConfig, report: Report) -> None:
     flat = surfaces.m_flatness_report(
         domain, samples, m, tol=cfg.params.get("flat_tol"), r0=cfg.params["r0"]
     )
-    worst_tangency = 0.0
-    tangency_pt = samples[0]
-    worst_sigma = np.inf
-    worst_pt = samples[0]
-    minimal_resid = 0.0
-    minimal_pt = samples[0]
-    for row in samples:
-        sp = surfaces.principal_curvatures(domain, row)
-        tangency = float(np.max(np.abs(sp.directions @ sp.inner_normal)))
-        if tangency > worst_tangency:
-            worst_tangency, tangency_pt = tangency, row
-        sigma = surfaces.m_convexity_defect(sp, m)
-        if sigma < worst_sigma:
-            worst_sigma, worst_pt = sigma, row
-        if domain.name in ("catenoid", "scherk"):
-            resid = abs(float(np.sum(sp.curvatures)))
-            if resid > minimal_resid:
-                minimal_resid, minimal_pt = resid, row
+    frames = surfaces.boundary_frames(domain, samples)
+    # ties go to the first sample, and an all-zero column reports samples[0]
+    normal_parts = frames.directions @ frames.inner_normal[..., None]
+    tangency = np.max(np.abs(normal_parts[..., 0]), axis=-1)
+    tangency_pt = samples[int(np.argmax(tangency))]
+    worst_tangency = float(np.max(tangency))
+    sigma = surfaces.m_convexity_defect(frames, m)
+    worst_pt = samples[int(np.argmin(sigma))]
+    worst_sigma = float(np.min(sigma))
+    resid = np.abs(np.sum(frames.curvatures, axis=-1))
+    minimal_pt = samples[int(np.argmax(resid))]
+    minimal_resid = float(np.max(resid))
     report.add(
         CheckRecord(
             "tangency", worst_tangency, 1e-9, worst_tangency <= 1e-9,
@@ -216,7 +199,7 @@ def _run_verify(cfg: AnalysisConfig, report: Report) -> None:
     domain = _build_domain(cfg)
     bf = _barrier_for(cfg, domain)
     interior = _interior_grid(domain, bf, cfg.grid["interior"])
-    chunks = chunked_map(lambda c: bf.hessian_batch(c)[0], interior, cfg.workers)
+    chunks = chunked_map(lambda c: bf.hessian_batch(c)[0], interior)
     hessians = np.concatenate(chunks)
     verdict = mpsh.grid_verdict(
         bf, interior, bf.m, tol=cfg.params["psh_tol"], hessians=hessians
@@ -539,7 +522,10 @@ def main(argv=None) -> int:
         sp.add_argument(
             "--format", choices=["json-lines", "csv-summary"], default=None
         )
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument(
+            "--workers", type=int, default=None,
+            help="accepted for existing configs; no effect",
+        )
     args = parser.parse_args(argv)
 
     overrides = {

@@ -51,16 +51,31 @@ def trace_on_plane(h: np.ndarray, plane: MPlane) -> float:
     return float(np.einsum("ik,kl,il->", b, np.asarray(h, dtype=float), b))
 
 
-def min_m_trace(h: np.ndarray, m: int) -> float:
-    """Sum of the m smallest eigenvalues: the infimum of traces over m-planes."""
-    eig = numkit.sym_eigen(np.asarray(h, dtype=float))
-    n = eig.eigenvalues.size
+def check_m(m: int, n: int) -> None:
+    """Reject a plane dimension m outside [1, n]."""
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    total = 0.0
-    for j in range(m):
-        total += float(eig.eigenvalues[j])
-    return total
+
+
+def sum_smallest(eigenvalues: np.ndarray, m: int) -> np.ndarray:
+    """Sum of the m smallest entries of ascending spectra.
+
+    ``eigenvalues`` has shape (..., n), sorted ascending along the last
+    axis; the result has shape (...). Raises ``ValueError`` unless
+    ``1 <= m <= n``.
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    check_m(m, eigenvalues.shape[-1])
+    return np.sum(eigenvalues[..., :m], axis=-1)
+
+
+def min_m_trace(h: np.ndarray, m: int):
+    """Sum of the m smallest eigenvalues: the infimum of traces over m-planes.
+
+    ``h`` is one matrix (n, n) or a stack (..., n, n); the result has shape
+    (...).
+    """
+    return sum_smallest(numkit.sym_eigen(h).eigenvalues, m)
 
 
 class ScalarField:
@@ -119,9 +134,7 @@ def is_m_psh_at(
     h = _hessian_of(field, x)
     use_tol = default_margin_tol(h) if tol is None else float(tol)
     eig = numkit.sym_eigen(h)
-    margin = 0.0
-    for j in range(m):
-        margin += float(eig.eigenvalues[j])
+    margin = float(sum_smallest(eig.eigenvalues, m))
     if margin < -use_tol:
         verdict = "violated"
     elif margin > use_tol:
@@ -165,39 +178,38 @@ def grid_verdict(
 ) -> GridVerdict:
     """Run the pointwise verdict over a grid of sample points.
 
-    ``hessians`` may be precomputed (same leading shape as ``points``);
-    otherwise the field is queried per point. Any evaluation failure aborts
-    with the offending sample in the exception message.
+    ``hessians`` may be precomputed, shape (B, n, n) for B points; otherwise
+    the field is queried per point. All margins come from one batched eigen
+    solve. Any evaluation failure aborts with the offending sample in the
+    exception message; ties for the worst margin go to the first sample.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    strict = psh = violated = 0
-    worst_margin = np.inf
-    worst_point = points[0]
-    for i, row in enumerate(points):
-        try:
-            h = hessians[i] if hessians is not None else _hessian_of(field, row)
-            eig = numkit.sym_eigen(np.asarray(h, dtype=float))
-        except Exception as exc:
-            raise RuntimeError(f"verdict failed at sample {row.tolist()}: {exc}") from exc
-        margin = 0.0
-        for j in range(m):
-            margin += float(eig.eigenvalues[j])
-        if margin < -tol:
-            violated += 1
-        elif margin > tol:
-            strict += 1
-        else:
-            psh += 1
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_point = row
+    if hessians is None:
+        rows = []
+        for row in points:
+            try:
+                rows.append(_hessian_of(field, row))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"verdict failed at sample {row.tolist()}: {exc}"
+                ) from exc
+        hessians = rows
+    try:
+        eig = numkit.sym_eigen(np.asarray(hessians, dtype=float))
+    except (numkit.AsymmetricMatrixError, numkit.NonFiniteMatrixError) as exc:
+        row = points[exc.index[0]]
+        raise RuntimeError(f"verdict failed at sample {row.tolist()}: {exc}") from exc
+    margins = sum_smallest(eig.eigenvalues, m)
+    worst = int(np.argmin(margins))
+    violated = int(np.count_nonzero(margins < -tol))
+    strict = int(np.count_nonzero(margins > tol))
     return GridVerdict(
         m=m,
         tol=tol,
         total=len(points),
         strict_count=strict,
-        psh_count=psh,
+        psh_count=len(points) - strict - violated,
         violated_count=violated,
-        worst_margin=float(worst_margin),
-        worst_point=worst_point,
+        worst_margin=float(margins[worst]),
+        worst_point=points[worst],
     )

@@ -1,14 +1,13 @@
 """Dense linear algebra and finite differences for small ambient dimensions.
 
 All geometry in this package lives in R^n with 2 <= n <= 8, so the kernels
-here are written for small dense symmetric matrices: a cyclic Jacobi
-eigensolver with deterministic output, and centered finite differences used
-to cross-check analytic gradients and Hessians.
+here are written for stacks of small dense symmetric matrices: a batched
+LAPACK eigensolver with canonical eigenvector signs, and centered finite
+differences used to cross-check analytic gradients and Hessians.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +22,29 @@ DEFAULT_FD_SCALE = 1e-4
 
 
 class AsymmetricMatrixError(ValueError):
-    """Input matrix is not symmetric within tolerance."""
+    """Input matrix is not symmetric within tolerance.
 
-    def __init__(self, asymmetry: float, tolerance: float):
+    ``index`` locates the offending matrix in a stack; it is None when a
+    single matrix was given.
+    """
+
+    def __init__(self, asymmetry: float, tolerance: float, index=None):
         self.asymmetry = asymmetry
         self.tolerance = tolerance
+        self.index = index
+        where = "" if index is None else f" in matrix {list(index)} of the stack"
         super().__init__(
-            f"matrix asymmetry {asymmetry:.3e} exceeds tolerance {tolerance:.3e}"
+            f"matrix asymmetry {asymmetry:.3e} exceeds tolerance {tolerance:.3e}{where}"
         )
+
+
+class NonFiniteMatrixError(ValueError):
+    """Input matrix has non-finite entries; ``index`` as for asymmetry."""
+
+    def __init__(self, index=None):
+        self.index = index
+        where = "" if index is None else f" in matrix {list(index)} of the stack"
+        super().__init__(f"matrix has non-finite entries{where}")
 
 
 class FieldEvaluationError(RuntimeError):
@@ -44,11 +58,12 @@ class FieldEvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Sorted spectrum of a small symmetric matrix.
+    """Sorted spectra of one small symmetric matrix or a stack of them.
 
-    ``eigenvalues`` is ascending; column j of ``eigenvectors`` is the unit
-    eigenvector for ``eigenvalues[j]``, signed so that its first component
-    larger than 1e-12 in magnitude is positive.
+    ``eigenvalues`` has shape (..., n), ascending along the last axis;
+    ``eigenvectors`` has shape (..., n, n), and column j of each matrix is
+    the unit eigenvector for ``eigenvalues[..., j]``, signed so that its
+    first component larger than 1e-12 in magnitude is positive.
     """
 
     eigenvalues: np.ndarray
@@ -56,81 +71,61 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
+        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    n = out.shape[0]
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        for i in range(n):
-            if abs(col[i]) > 1e-12:
-                if col[i] < 0.0:
-                    out[:, j] = -col
-                break
-    return out
+def canonical_sign(vectors: np.ndarray) -> np.ndarray:
+    """Flip the columns of (..., n, k) so each first sizable entry is positive.
+
+    A column's leading entry is its first component larger than 1e-12 in
+    magnitude; the output has the input's shape.
+    """
+    big = np.abs(vectors) > 1e-12
+    lead = big & (np.cumsum(big, axis=-2) == 1)
+    flip = np.any(lead & (vectors < 0.0), axis=-2, keepdims=True)
+    return np.where(flip, -vectors, vectors)
 
 
-def sym_eigen(a: np.ndarray, sweeps: int = 50) -> EigenDecomposition:
-    """Eigen-decompose a symmetric matrix by cyclic Jacobi rotations.
+def first_index(mask: np.ndarray) -> tuple:
+    """Index of the first True entry of a nonempty boolean array."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
 
-    Deterministic for a fixed input: the rotation order is the fixed cyclic
-    upper-triangle sweep, eigenvalues are sorted ascending with a stable
-    sort, and eigenvector signs are canonicalized.
 
-    Raises :class:`AsymmetricMatrixError` when the asymmetry exceeds
-    ``SYMMETRY_RTOL * (1 + |a|)``, reporting the measured magnitude.
+def sym_eigen(a: np.ndarray) -> EigenDecomposition:
+    """Eigen-decompose a symmetric matrix, or a stack of them, in one call.
+
+    ``a`` has shape (..., n, n) with n <= MAX_DIM; the result holds
+    eigenvalues of shape (..., n) and eigenvectors of shape (..., n, n), see
+    :class:`EigenDecomposition`. The symmetric part goes to LAPACK through
+    ``np.linalg.eigh``, which returns ascending eigenvalues; eigenvector
+    signs are then canonicalized. Deterministic for a fixed input, and each
+    matrix of a stack decomposes exactly as it would alone.
+
+    Raises :class:`AsymmetricMatrixError` when the asymmetry of a matrix
+    exceeds ``SYMMETRY_RTOL * (1 + |a|)``, reporting the measured magnitude
+    of the first such matrix and its index in the stack.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    stacked = a.ndim > 2
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        raise NonFiniteMatrixError(first_index(~finite) if stacked else None)
 
-    norm = float(np.linalg.norm(a))
-    asym = float(np.linalg.norm(a - a.T))
-    tol = SYMMETRY_RTOL * (1.0 + norm)
-    if asym > tol:
-        raise AsymmetricMatrixError(asym, tol)
+    at = np.swapaxes(a, -1, -2)
+    tol = SYMMETRY_RTOL * (1.0 + np.sqrt(np.sum(a * a, axis=(-2, -1))))
+    asym = np.sqrt(np.sum((a - at) ** 2, axis=(-2, -1)))
+    bad = asym > tol
+    if np.any(bad):
+        i = first_index(bad)
+        raise AsymmetricMatrixError(float(asym[i]), float(tol[i]), i if stacked else None)
 
-    w = 0.5 * (a + a.T)
-    v = np.eye(n)
-    stop = 1e-15 * (1.0 + norm)
-    off_entries = ~np.eye(n, dtype=bool)
-    for _ in range(sweeps):
-        off = math.sqrt(float(np.sum(w[off_entries] ** 2)))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= 1e-18 * (1.0 + norm):
-                    continue
-                tau = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * w[:, p] - s * w[:, q]
-                rot_q = s * w[:, p] + c * w[:, q]
-                w[:, p], w[:, q] = rot_p, rot_q
-                rot_p = c * w[p, :] - s * w[q, :]
-                rot_q = s * w[p, :] + c * w[q, :]
-                w[p, :], w[q, :] = rot_p, rot_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-
-    lam = np.diag(w).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = _canonical_sign(v[:, order])
-    return EigenDecomposition(eigenvalues=lam, eigenvectors=v)
+    values, vectors = np.linalg.eigh(0.5 * (a + at))
+    return EigenDecomposition(eigenvalues=values, eigenvectors=canonical_sign(vectors))
 
 
 def default_step(x: np.ndarray) -> float:
@@ -162,44 +157,21 @@ def gradient_fd(f, x: np.ndarray, step: float | None = None) -> np.ndarray:
 
 
 def hessian_fd(f, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Centered second-difference Hessian, symmetrized exactly.
+    """Centered second-difference Hessian of a scalar field at one point.
 
-    Uses the standard 4-point cross stencil for mixed entries; the returned
-    matrix satisfies ``H == H.T`` bit for bit.
+    The stencil of :func:`hessian_fd_batch`, with ``f`` called once per
+    stencil point; the returned matrix satisfies ``H == H.T`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     h = default_step(x) if step is None else float(step)
     if h <= 0.0:
         raise ValueError("step must be positive")
-    n = x.size
-    hess = np.zeros((n, n))
-    f0 = _eval(f, x)
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        hess[i, i] = (_eval(f, xp) - 2.0 * f0 + _eval(f, xm)) / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[i] += h
-            xpp[j] += h
-            xpm[i] += h
-            xpm[j] -= h
-            xmp[i] -= h
-            xmp[j] += h
-            xmm[i] -= h
-            xmm[j] -= h
-            val = (_eval(f, xpp) - _eval(f, xpm) - _eval(f, xmp) + _eval(f, xmm)) / (
-                4.0 * h * h
-            )
-            hess[i, j] = val
-            hess[j, i] = val
-    return 0.5 * (hess + hess.T)
+    return hessian_fd_batch(_pointwise(f), x, h)[0]
+
+
+def _pointwise(f):
+    """Batch evaluator calling the scalar field ``f`` once per row."""
+    return lambda grid: [_eval(f, p) for p in grid]
 
 
 def hessian_stencil(n: int, step: float):
@@ -276,29 +248,36 @@ def hessian_fd_richardson(f, x: np.ndarray, step: float | None = None) -> np.nda
     """
     x = np.asarray(x, dtype=float)
     h = 10.0 * default_step(x) if step is None else float(step)
-    coarse = hessian_fd(f, x, h)
-    fine = hessian_fd(f, x, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    if h <= 0.0:
+        raise ValueError("step must be positive")
+    return hessian_fd_richardson_batch(_pointwise(f), x, h)[0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (..., n) arrays, shape (..., 1).
+
+    A stacked matmul rounds exactly like ``np.dot`` on each row, so batched
+    and single-vector callers get the same bits.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 def orthonormal_complement(unit: np.ndarray) -> np.ndarray:
     """Rows form an orthonormal basis of the hyperplane orthogonal to ``unit``.
 
-    Deterministic: Gram-Schmidt over the standard basis, skipping the axis
-    most parallel to ``unit``.
+    ``unit`` has shape (..., n) and the result (..., n-1, n). Deterministic:
+    Gram-Schmidt over the standard basis, least-aligned axes first. The n-1
+    least-aligned axes always complete ``unit`` to a basis (the left-out
+    axis carries its largest component), so each row is found in n-1 steps.
     """
     unit = np.asarray(unit, dtype=float)
-    n = unit.size
-    basis = [unit / np.linalg.norm(unit)]
-    axes = np.argsort(np.abs(unit), kind="stable")  # least-aligned axes first
-    for idx in axes:
-        e = np.zeros(n)
-        e[idx] = 1.0
+    n = unit.shape[-1]
+    basis = [unit / np.sqrt(_dot(unit, unit))]
+    axes = np.argsort(np.abs(unit), axis=-1, kind="stable")
+    eye = np.eye(n)
+    for k in range(n - 1):
+        e = eye[axes[..., k]]
         for b in basis:
-            e = e - np.dot(e, b) * b
-        norm = np.linalg.norm(e)
-        if norm > 1e-10:
-            basis.append(e / norm)
-        if len(basis) == n:
-            break
-    return np.array(basis[1:])
+            e = e - _dot(e, b) * b
+        basis.append(e / np.sqrt(_dot(e, e)))
+    return np.stack(basis[1:], axis=-2)

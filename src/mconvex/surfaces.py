@@ -17,31 +17,39 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import numkit
+from . import mpsh, numkit
 
 BOUNDARY_TOL = 1e-8
 GRADIENT_FLOOR = 1e-8
 
 
 class NotOnBoundaryError(ValueError):
-    def __init__(self, residual: float):
+    def __init__(self, residual: float, point=None):
         self.residual = residual
-        super().__init__(f"point is off the boundary: |phi| = {residual:.3e}")
+        self.point = point
+        where = "" if point is None else f" at {np.asarray(point).tolist()}"
+        super().__init__(f"point is off the boundary{where}: |phi| = {residual:.3e}")
 
 
 class SingularPointError(ValueError):
-    def __init__(self, grad_norm: float):
+    def __init__(self, grad_norm: float, point=None):
         self.grad_norm = grad_norm
-        super().__init__(f"defining gradient vanishes: |grad phi| = {grad_norm:.3e}")
+        self.point = point
+        where = "" if point is None else f" at {np.asarray(point).tolist()}"
+        super().__init__(
+            f"defining gradient vanishes{where}: |grad phi| = {grad_norm:.3e}"
+        )
 
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """A boundary point with its inner normal and shape-operator data.
+    """Boundary points with their inner normals and shape-operator data.
 
-    ``curvatures`` are ascending principal curvatures from the inner side
-    (units 1/length); row j of ``directions`` is the unit principal
-    direction for ``curvatures[j]``.
+    For one point in R^n the fields have shapes (n,), (n,), (n-1,) and
+    (n-1, n); a batch adds the same leading axes to each. ``curvatures``
+    are ascending principal curvatures from the inner side (units
+    1/length); row j of ``directions`` is the unit principal direction for
+    ``curvatures[..., j]``.
     """
 
     position: np.ndarray
@@ -181,32 +189,45 @@ class ParametricPatch:
         return np.sort(kappa)
 
 
-def principal_curvatures(domain: ImplicitDomain, p: np.ndarray) -> SurfacePoint:
-    """Shape-operator eigendata of the boundary at ``p``.
+def boundary_frames(domain: ImplicitDomain, feet: np.ndarray) -> SurfacePoint:
+    """Shape-operator eigendata of the boundary at a batch of points.
 
-    The shape operator is the tangential part of ``Hess(phi)/|grad phi|``,
-    which for the ``{phi < 0}`` convention carries the inner-side sign:
-    the unit ball boundary comes out with curvatures +1.
+    ``feet`` has shape (..., n); the returned :class:`SurfacePoint` carries
+    the same leading shape: positions (..., n), inner normals (..., n),
+    ascending curvatures (..., n-1) and principal directions (..., n-1, n),
+    each direction signed so that its first component larger than 1e-12 in
+    magnitude is positive. The shape operator is the tangential part of
+    ``Hess(phi)/|grad phi|``, which for the ``{phi < 0}`` convention carries
+    the inner-side sign: the unit ball boundary comes out with curvatures
+    +1. One eigen solve covers the whole batch.
+
+    Raises :class:`NotOnBoundaryError` or :class:`SingularPointError` for
+    the first point off the boundary or with a vanishing gradient.
     """
-    p = np.asarray(p, dtype=float)
-    scale = 1.0 + float(np.linalg.norm(p))
-    residual = abs(float(domain.phi(p)))
-    if residual > BOUNDARY_TOL * scale:
-        raise NotOnBoundaryError(residual)
+    p = np.asarray(feet, dtype=float)
+    residual = np.abs(domain.phi(p))
+    off = residual > BOUNDARY_TOL * (1.0 + np.linalg.norm(p, axis=-1))
+    if np.any(off):
+        i = numkit.first_index(off)
+        raise NotOnBoundaryError(float(residual[i]), p[i])
     g = np.asarray(domain.grad(p), dtype=float)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm < GRADIENT_FLOOR:
-        raise SingularPointError(gnorm)
-    outward = g / gnorm
+    gnorm = np.linalg.norm(g, axis=-1)
+    singular = gnorm < GRADIENT_FLOOR
+    if np.any(singular):
+        i = numkit.first_index(singular)
+        raise SingularPointError(float(gnorm[i]), p[i])
+    outward = g / gnorm[..., None]
     h = np.asarray(domain.hess(p), dtype=float)
-    proj = np.eye(domain.dim) - np.outer(outward, outward)
-    shape_full = proj @ h @ proj / gnorm
+    proj = np.eye(domain.dim) - outward[..., :, None] * outward[..., None, :]
+    shape_full = proj @ h @ proj / gnorm[..., None, None]
     tangent = numkit.orthonormal_complement(outward)
-    shape_t = tangent @ shape_full @ tangent.T
-    shape_t = 0.5 * (shape_t + shape_t.T)
+    shape_t = tangent @ shape_full @ np.swapaxes(tangent, -1, -2)
+    shape_t = 0.5 * (shape_t + np.swapaxes(shape_t, -1, -2))
     eig = numkit.sym_eigen(shape_t)
-    directions = eig.eigenvectors.T @ tangent
-    directions = numkit._canonical_sign(directions.T).T
+    # row j of each direction matrix is column j of the eigenvectors, mapped
+    # from tangent coordinates back to R^n
+    columns = np.swapaxes(tangent, -1, -2) @ eig.eigenvectors
+    directions = np.swapaxes(numkit.canonical_sign(columns), -1, -2)
     return SurfacePoint(
         position=p,
         inner_normal=-outward,
@@ -215,25 +236,21 @@ def principal_curvatures(domain: ImplicitDomain, p: np.ndarray) -> SurfacePoint:
     )
 
 
-def m_convexity_defect(sp: SurfacePoint, m: int) -> float:
+def principal_curvatures(domain: ImplicitDomain, p: np.ndarray) -> SurfacePoint:
+    """Shape-operator eigendata of the boundary at one point ``p``."""
+    return boundary_frames(domain, p)
+
+
+def m_convexity_defect(sp: SurfacePoint, m: int):
     """Sum of the m smallest principal curvatures; nonnegative iff m-convex."""
-    _check_m(sp, m)
-    total = 0.0
-    for j in range(m):
-        total += float(sp.curvatures[j])
-    return total
+    return mpsh.sum_smallest(sp.curvatures, m)
 
 
-def is_m_flat(sp: SurfacePoint, m: int, tol: float) -> bool:
+def is_m_flat(sp: SurfacePoint, m: int, tol: float):
     """True when the m smallest principal curvatures all vanish within tol."""
-    _check_m(sp, m)
-    return bool(np.all(np.abs(sp.curvatures[:m]) <= tol))
-
-
-def _check_m(sp: SurfacePoint, m: int) -> None:
-    nm1 = sp.curvatures.size
-    if not 1 <= m <= nm1:
-        raise ValueError(f"m must be in [1, {nm1}], got {m}")
+    curvatures = np.asarray(sp.curvatures)
+    mpsh.check_m(m, curvatures.shape[-1])
+    return np.all(np.abs(curvatures[..., :m]) <= tol, axis=-1)
 
 
 def default_flat_tol(curvatures: np.ndarray) -> float:
@@ -273,15 +290,9 @@ def m_flatness_report(
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empty boundary sample set")
-    points = []
-    all_curv = []
-    for row in samples:
-        sp = principal_curvatures(domain, row)
-        all_curv.append(sp.curvatures)
-        points.append(sp)
-    all_curv = np.array(all_curv)
-    use_tol = default_flat_tol(all_curv) if tol is None else float(tol)
-    flags = np.array([is_m_flat(sp, m, use_tol) for sp in points])
+    frames = boundary_frames(domain, samples)
+    use_tol = default_flat_tol(frames.curvatures) if tol is None else float(tol)
+    flags = is_m_flat(frames, m, use_tol)
     flat_pts = samples[flags]
     if flat_pts.size:
         box = np.stack([flat_pts.min(axis=0), flat_pts.max(axis=0)])
@@ -293,7 +304,7 @@ def m_flatness_report(
     return FlatnessReport(
         m=m,
         tol=use_tol,
-        total=len(points),
+        total=len(samples),
         flat_count=int(flags.sum()),
         flat_points=flat_pts,
         bounding_box=box,

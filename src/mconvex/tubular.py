@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import surfaces
+from . import numkit, surfaces
 from .surfaces import ImplicitDomain, SurfacePoint
 
 
@@ -260,54 +260,102 @@ def signed_distance(
     )
 
 
+@dataclass(frozen=True)
+class DistanceJet:
+    """Signed distance with its first and second derivatives at B points.
+
+    ``feet`` (B, n), ``delta`` (B,) and ``multiplicity`` (B,) come from the
+    projection. ``active`` (B,) marks the rows above the floor given to
+    :func:`distance_jet`; only those rows fill ``grad`` (B, n), the unit
+    gradient of the signed distance, ``curvatures`` (B, n-1), the
+    transported curvatures ``nu / (1 + delta * nu)`` in ascending order, and
+    ``directions`` (B, n-1, n), the principal directions at the feet. The
+    other rows hold zeros.
+    """
+
+    feet: np.ndarray
+    delta: np.ndarray
+    multiplicity: np.ndarray
+    active: np.ndarray
+    grad: np.ndarray
+    curvatures: np.ndarray
+    directions: np.ndarray
+
+    def hessian(self) -> np.ndarray:
+        """Hessian of the signed distance, sum_j nu_j d_j d_j^T, shape (B, n, n).
+
+        The boundary frame at the foot diagonalizes it all along the normal
+        line; the normal direction carries eigenvalue zero.
+        """
+        d = self.directions
+        return np.swapaxes(d, -1, -2) @ (self.curvatures[..., None] * d)
+
+
+def distance_jet(
+    domain: ImplicitDomain,
+    points: np.ndarray,
+    settings: Optional[ProjectionSettings] = None,
+    floor: float = -np.inf,
+) -> DistanceJet:
+    """One batched projection and one batched frame solve for B points.
+
+    ``points`` has shape (B, n), or (n,) for one point. Rows with signed
+    distance at or below ``floor`` get zero jets before any multiplicity or
+    frame work. Raises :class:`FocalPointError` naming the first remaining
+    point with more than one nearest foot, or one past a focal distance.
+    """
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    nb, dim = x.shape
+    feet, delta, mult = project_batch(domain, x, settings)
+    active = delta > floor
+    grad = np.zeros((nb, dim))
+    curvatures = np.zeros((nb, dim - 1))
+    directions = np.zeros((nb, dim - 1, dim))
+    multi = active & (mult > 1)
+    if np.any(multi):
+        i = int(np.argmax(multi))
+        raise FocalPointError(
+            f"point {x[i].tolist()} has {mult[i]:g} nearest feet; beyond reach"
+        )
+    if np.any(active):
+        xa, fa, ta = x[active], feet[active], delta[active]
+        frames = surfaces.boundary_frames(domain, fa)
+        on_boundary = np.abs(ta) < 1e-12 * (1.0 + np.linalg.norm(xa, axis=-1))
+        safe = np.where(on_boundary, 1.0, ta)[:, None]
+        outward = -frames.inner_normal
+        grad[active] = np.where(on_boundary[:, None], outward, (xa - fa) / safe)
+        curvatures[active] = transport_curvatures(frames, ta)
+        directions[active] = frames.directions
+    return DistanceJet(feet, delta, mult, active, grad, curvatures, directions)
+
+
 def grad_delta(
     domain: ImplicitDomain,
     x: np.ndarray,
     settings: Optional[ProjectionSettings] = None,
 ) -> np.ndarray:
     """Unit gradient of the signed distance, pointing toward increasing distance."""
-    x = np.asarray(x, dtype=float)
-    res = signed_distance(domain, x, settings)
-    if res.multiplicity > 1:
-        raise FocalPointError(
-            f"point {x.tolist()} has {res.multiplicity} nearest feet; beyond reach"
-        )
-    if abs(res.distance) < 1e-12 * (1.0 + np.linalg.norm(x)):
-        g = np.asarray(domain.grad(res.foot), dtype=float)
-        return g / np.linalg.norm(g)
-    return (x - res.foot) / res.distance
+    return distance_jet(domain, x, settings).grad[0]
 
 
-def transport_curvatures(sp: SurfacePoint, t: float) -> np.ndarray:
-    """Principal curvatures of the parallel hypersurface at signed offset t.
+def transport_curvatures(sp: SurfacePoint, t) -> np.ndarray:
+    """Principal curvatures of the parallel hypersurfaces at signed offsets t.
 
     The offset point is ``p + t * grad_delta(p)`` with t <= 0 inside; each
     curvature maps to ``nu / (1 + t * nu)``, which preserves order and sign
-    and is the identity at t = 0.
+    and is the identity at t = 0. ``t`` has the leading shape of ``sp``.
     """
     nu = np.asarray(sp.curvatures, dtype=float)
-    denom = 1.0 + t * nu
-    if np.any(denom <= 0.0):
+    t = np.asarray(t, dtype=float)
+    denom = 1.0 + t[..., None] * nu
+    focal = np.any(denom <= 0.0, axis=-1)
+    if np.any(focal):
+        i = numkit.first_index(focal)
         raise FocalPointError(
-            f"offset {t} reaches a focal point: 1 + t*nu = {denom.min():.3e}"
+            f"offset {float(t[i])} from {np.asarray(sp.position)[i].tolist()} reaches "
+            f"a focal point: 1 + t*nu = {denom[i].min():.3e}"
         )
     return nu / denom
-
-
-def surface_point_at(
-    domain: ImplicitDomain,
-    x: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
-):
-    """Foot point data and signed distance for a collar point."""
-    x = np.asarray(x, dtype=float)
-    res = signed_distance(domain, x, settings)
-    if res.multiplicity > 1:
-        raise FocalPointError(
-            f"point {x.tolist()} has {res.multiplicity} nearest feet; beyond reach"
-        )
-    sp = surfaces.principal_curvatures(domain, res.foot)
-    return sp, res
 
 
 def hessian_delta(
@@ -315,18 +363,8 @@ def hessian_delta(
     x: np.ndarray,
     settings: Optional[ProjectionSettings] = None,
 ) -> np.ndarray:
-    """Hessian of the signed distance assembled from transported curvatures.
-
-    The boundary frame at the foot diagonalizes the Hessian all along the
-    normal line; the normal direction carries eigenvalue zero.
-    """
-    sp, res = surface_point_at(domain, x, settings)
-    nu_x = transport_curvatures(sp, res.distance)
-    h = np.zeros((domain.dim, domain.dim))
-    for j in range(nu_x.size):
-        d = sp.directions[j]
-        h += nu_x[j] * np.outer(d, d)
-    return h
+    """Hessian of the signed distance assembled from transported curvatures."""
+    return distance_jet(domain, x, settings).hessian()[0]
 
 
 @dataclass(frozen=True)
@@ -358,11 +396,11 @@ def reach_estimate(
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     if pts.size == 0:
         raise ValueError("empty boundary sample set")
-    sps = [surfaces.principal_curvatures(domain, row) for row in pts]
-    peak = max(float(np.max(np.abs(sp.curvatures))) for sp in sps)
+    frames = surfaces.boundary_frames(domain, pts)
+    peak = float(np.max(np.abs(frames.curvatures)))
     focal = np.inf if peak == 0.0 else 1.0 / peak
     if focal < 1e-12:
-        return ReachEstimate(0.0, focal, 0.0, False, len(sps))
+        return ReachEstimate(0.0, focal, 0.0, False, len(pts))
 
     if cap is None:
         if np.isfinite(focal):
@@ -372,13 +410,12 @@ def reach_estimate(
         else:
             cap = 8.0
 
-    stride = max(1, len(sps) // probe_count)
-    probes = sps[::stride]
+    stride = max(1, len(pts) // probe_count)
     bottleneck = np.inf
     capped = True
-    for sp in probes:
-        for direction in (sp.inner_normal, -sp.inner_normal):
-            s_ok = _largest_same_foot_offset(domain, sp.position, direction, cap, settings)
+    for p, normal in zip(pts[::stride], frames.inner_normal[::stride]):
+        for direction in (normal, -normal):
+            s_ok = _largest_same_foot_offset(domain, p, direction, cap, settings)
             if s_ok < cap:
                 capped = False
             bottleneck = min(bottleneck, s_ok)
@@ -388,7 +425,7 @@ def reach_estimate(
         focal_bound=float(focal),
         bottleneck_bound=float(bottleneck),
         capped=capped and not np.isfinite(focal),
-        samples=len(sps),
+        samples=len(pts),
     )
 
 
@@ -452,35 +489,26 @@ def curvature_bounds_check(
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     lower = -(m - 1) / eps
     upper = 1.0 / eps
-    worst_lower = np.inf
-    worst_upper = np.inf
-    worst_negsum = np.inf
-    violations = []
-    for row in pts:
-        sp = surfaces.principal_curvatures(domain, row)
-        nu = sp.curvatures
-        lo_margin = float(np.min(nu - lower))
-        up_margin = float(np.min(upper - nu))
-        negsum = float(np.sum(nu[nu <= 0.0]))
-        ns_margin = negsum - lower
-        worst_lower = min(worst_lower, lo_margin)
-        worst_upper = min(worst_upper, up_margin)
-        worst_negsum = min(worst_negsum, ns_margin)
-        for margin, label in (
-            (lo_margin, "lower"),
-            (up_margin, "upper"),
-            (ns_margin, "negative-sum"),
-        ):
-            if margin < -tol:
-                violations.append(BoundsViolation(row, nu.copy(), margin, label))
+    nu = surfaces.boundary_frames(domain, pts).curvatures
+    negsum = np.sum(np.where(nu <= 0.0, nu, 0.0), axis=-1)
+    # one column per check, in the order the violations are listed
+    margins = np.stack(
+        [np.min(nu - lower, axis=-1), np.min(upper - nu, axis=-1), negsum - lower], axis=-1
+    )
+    worst = np.min(margins, axis=0, initial=np.inf)
+    labels = ("lower", "upper", "negative-sum")
+    violations = tuple(
+        BoundsViolation(pts[i], nu[i].copy(), float(margins[i, k]), labels[k])
+        for i, k in np.argwhere(margins < -tol)
+    )
     return CurvatureBoundsReport(
         eps=eps,
         m=m,
         samples=len(pts),
-        worst_lower=worst_lower,
-        worst_upper=worst_upper,
-        worst_negative_sum=worst_negsum,
-        violations=tuple(violations),
+        worst_lower=float(worst[0]),
+        worst_upper=float(worst[1]),
+        worst_negative_sum=float(worst[2]),
+        violations=violations,
     )
 
 

@@ -168,10 +168,11 @@ def test_worker_count_does_not_change_results():
 
 
 def test_chunked_map_order_independent():
+    # fixed-size chunks, merged in chunk order
     items = np.arange(1000)
-    ref = cli.chunked_map(lambda c: c.sum(), items, 1)
-    par = cli.chunked_map(lambda c: c.sum(), items, 8)
-    assert ref == par
+    chunks = cli.chunked_map(lambda c: c, items)
+    assert [len(c) for c in chunks] == [cli.CHUNK] * 3 + [1000 - 3 * cli.CHUNK]
+    assert np.array_equal(np.concatenate(chunks), items)
 
 
 def test_metric_seeded_determinism():

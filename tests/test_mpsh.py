@@ -173,3 +173,16 @@ def test_grid_verdict_precomputed_hessians():
     hessians = np.stack([np.eye(3), 2 * np.eye(3), -np.eye(3)])
     v = mpsh.grid_verdict(None, pts, 2, hessians=hessians)
     assert v.violated_count == 1 and v.strict_count == 2
+
+
+def test_m_out_of_range_rejected():
+    # regressions: m = 0 summed nothing and passed every point of a concave
+    # field; m > n indexed past the spectrum with a bare IndexError
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.0, 1.0, size=(10, 3))
+    concave = mpsh.ScalarField(lambda x: -float(x @ x), hess=lambda x: -2.0 * np.eye(3))
+    for m in (0, 4):
+        with pytest.raises(ValueError, match=r"m must be in \[1, 3\]"):
+            mpsh.grid_verdict(concave, pts, m)
+        with pytest.raises(ValueError, match=r"m must be in \[1, 3\]"):
+            mpsh.is_m_psh_at(concave, pts[0], m)
