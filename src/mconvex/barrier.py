@@ -123,11 +123,18 @@ def choose_collar(
     )
 
 
-_SMOOTHSTEP_COEFFS = {
-    # chi' on the transition, as polynomial coefficients in u (ascending)
-    3: np.array([0.0, 0.0, 3.0, -2.0]),
-    5: np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0]),
-    7: np.array([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0]),
+def _cap_polynomials(chi1: np.ndarray) -> tuple:
+    """(chi', chi'', antiderivative of chi', its value at u = 1), ascending in u."""
+    poly = np.polynomial.polynomial
+    anti = poly.polyint(chi1)
+    return chi1, poly.polyder(chi1), anti, poly.polyval(1.0, anti)
+
+
+# per cap degree: chi' on the transition is the smoothstep polynomial in u
+CAP_POLYNOMIALS = {
+    3: _cap_polynomials(np.array([0.0, 0.0, 3.0, -2.0])),
+    5: _cap_polynomials(np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])),
+    7: _cap_polynomials(np.array([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])),
 }
 
 
@@ -148,10 +155,10 @@ class SmoothingCap:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"degenerate cap interval [{self.lo}, {self.hi}]")
-        if self.degree not in _SMOOTHSTEP_COEFFS:
+        if self.degree not in CAP_POLYNOMIALS:
             raise ValueError(
                 f"unsupported cap degree {self.degree}; choices "
-                f"{sorted(_SMOOTHSTEP_COEFFS)}"
+                f"{sorted(CAP_POLYNOMIALS)}"
             )
 
     @property
@@ -164,31 +171,23 @@ class SmoothingCap:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        u = self._u(t)
-        coeffs = _SMOOTHSTEP_COEFFS[self.degree]
-        # antiderivative of chi' in u, then chi(t) = hi - (hi-lo)*(I(1) - I(u))
-        anti = np.polynomial.polynomial.polyval(u, _antiderivative(coeffs))
-        anti1 = np.polynomial.polynomial.polyval(1.0, _antiderivative(coeffs))
-        mid = self.hi - (self.hi - self.lo) * (anti1 - anti)
+        _, _, anti, anti1 = CAP_POLYNOMIALS[self.degree]
+        # chi(t) = hi - (hi-lo)*(I(1) - I(u)), I the antiderivative of chi'
+        anti_u = np.polynomial.polynomial.polyval(self._u(t), anti)
+        mid = self.hi - (self.hi - self.lo) * (anti1 - anti_u)
         return np.where(t >= self.hi, t, np.where(t <= self.lo, self.plateau, mid))
 
     def d1(self, t):
         t = np.asarray(t, dtype=float)
-        u = self._u(t)
-        s = np.polynomial.polynomial.polyval(u, _SMOOTHSTEP_COEFFS[self.degree])
+        s = np.polynomial.polynomial.polyval(self._u(t), CAP_POLYNOMIALS[self.degree][0])
         return np.where(t >= self.hi, 1.0, np.where(t <= self.lo, 0.0, s))
 
     def d2(self, t):
         t = np.asarray(t, dtype=float)
-        u = self._u(t)
-        dcoeffs = np.polynomial.polynomial.polyder(_SMOOTHSTEP_COEFFS[self.degree])
-        s = np.polynomial.polynomial.polyval(u, dcoeffs) / (self.hi - self.lo)
+        chi2 = CAP_POLYNOMIALS[self.degree][1]
+        s = np.polynomial.polynomial.polyval(self._u(t), chi2) / (self.hi - self.lo)
         inside = (t > self.lo) & (t < self.hi)
         return np.where(inside, s, 0.0)
-
-
-def _antiderivative(coeffs: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyint(coeffs)
 
 
 def make_cap(collar: TubularCollar, profile: ConvexProfile, degree: int = 3) -> SmoothingCap:

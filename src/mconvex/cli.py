@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import barrier, discs, hyperbolicity, mpsh, surfaces, tubular
-from .config import AnalysisConfig, ConfigError, KINDS, load_config, validate
+from .config import FORMATS, KINDS, AnalysisConfig, ConfigError, load_config, validate
 from .report import CheckRecord, Report, emit, write_atomic
 
 CHUNK = 256
@@ -24,32 +24,21 @@ def chunked_map(fn, items: np.ndarray):
     return [fn(items[i : i + CHUNK]) for i in range(0, len(items), CHUNK)]
 
 
-def _build_domain(cfg: AnalysisConfig) -> surfaces.ImplicitDomain:
-    params = {k: v for k, v in cfg.domain.items() if k != "name"}
-    return surfaces.make_domain(cfg.domain["name"], **params)
-
-
-def _reach_for(domain: surfaces.ImplicitDomain, samples: int, probes: int):
-    pts = domain.boundary_samples(samples)
-    return tubular.reach_estimate(domain, pts, probe_count=probes)
-
-
 def _barrier_for(cfg: AnalysisConfig, domain: surfaces.ImplicitDomain):
     p = cfg.params
-    eps = p.get("epsilon")
+    eps = p["epsilon"]
     if eps is None:
-        est = _reach_for(domain, min(cfg.grid["boundary"], 256), 8)
-        eps = p["epsilon_fraction"] * est.value
-    bf = barrier.build_barrier(
+        pts = domain.boundary_samples(min(cfg.grid["boundary"], 256))
+        eps = p["epsilon_fraction"] * tubular.reach_estimate(domain, pts, probe_count=8).value
+    return barrier.build_barrier(
         domain,
         m=p["m"],
         eps=float(eps),
-        alpha=p.get("alpha"),
+        alpha=p["alpha"],
         safety=p["safety"],
-        ratios=tuple(p.get("ratios", (0.9, 0.6, 0.3))),
+        ratios=tuple(p["ratios"]),
         cap_degree=p["cap_degree"],
     )
-    return bf
 
 
 def _interior_grid(domain, bf, count: int) -> np.ndarray:
@@ -66,11 +55,11 @@ def _interior_grid(domain, bf, count: int) -> np.ndarray:
 
 
 def _run_curvature(cfg: AnalysisConfig, report: Report) -> None:
-    domain = _build_domain(cfg)
+    domain = surfaces.make_domain(**cfg.domain)
     m = cfg.params["m"]
     samples = domain.boundary_samples(cfg.grid["boundary"])
     flat = surfaces.m_flatness_report(
-        domain, samples, m, tol=cfg.params.get("flat_tol"), r0=cfg.params["r0"]
+        domain, samples, m, tol=cfg.params["flat_tol"], r0=cfg.params["r0"]
     )
     frames = surfaces.boundary_frames(domain, samples)
     # ties go to the first sample, and an all-zero column reports samples[0]
@@ -122,7 +111,7 @@ def _run_curvature(cfg: AnalysisConfig, report: Report) -> None:
 
 
 def _run_reach(cfg: AnalysisConfig, report: Report) -> None:
-    domain = _build_domain(cfg)
+    domain = surfaces.make_domain(**cfg.domain)
     m = cfg.params["m"]
     samples = domain.boundary_samples(cfg.grid["boundary"])
     est = tubular.reach_estimate(domain, samples, probe_count=cfg.params["probes"])
@@ -167,7 +156,7 @@ def _run_reach(cfg: AnalysisConfig, report: Report) -> None:
 
 
 def _run_barrier(cfg: AnalysisConfig, report: Report) -> None:
-    domain = _build_domain(cfg)
+    domain = surfaces.make_domain(**cfg.domain)
     bf = _barrier_for(cfg, domain)
     interior = _interior_grid(domain, bf, cfg.grid["interior"])
     boundary = domain.boundary_samples(cfg.grid["boundary"])
@@ -196,7 +185,7 @@ def _run_barrier(cfg: AnalysisConfig, report: Report) -> None:
 
 
 def _run_verify(cfg: AnalysisConfig, report: Report) -> None:
-    domain = _build_domain(cfg)
+    domain = surfaces.make_domain(**cfg.domain)
     bf = _barrier_for(cfg, domain)
     interior = _interior_grid(domain, bf, cfg.grid["interior"])
     chunks = chunked_map(lambda c: bf.hessian_batch(c)[0], interior)
@@ -268,47 +257,30 @@ def default_test_maps(domain_name: str):
 
 
 def map_from_spec(entry: dict):
-    """Build a conformal map from a declarative config entry."""
-    kind = entry.get("type")
+    """Build a conformal map from a validated ``subharmonicity.maps`` entry."""
+    kind = entry["type"]
     if kind == "affine":
         return discs.affine_disc(
-            np.asarray(entry["p"], dtype=float),
-            np.asarray(entry["u"], dtype=float),
-            np.asarray(entry["w"], dtype=float),
-            radius=float(entry.get("radius", 1.0)),
-            name=entry.get("name", "affine"),
+            entry["p"], entry["u"], entry["w"], radius=entry["radius"], name=entry["name"]
         )
-    shift = tuple(entry.get("shift", (0.0, 0.0, 0.0)))
-    scale = float(entry.get("scale", 1.0))
-    radius = float(entry.get("radius", 0.5))
-    charts = {
-        "catenoid-chart": discs.catenoid_map,
-        "helicoid-chart": discs.helicoid_map,
-        "enneper-chart": discs.enneper_map,
-    }
-    if kind in charts:
-        return charts[kind](scale=scale, shift=shift, radius=radius)
-    generators = {
-        "weierstrass-catenoid": discs.weierstrass_catenoid,
-        "weierstrass-helicoid": discs.weierstrass_helicoid,
-        "weierstrass-enneper": discs.weierstrass_enneper,
-    }
-    if kind in generators:
-        return discs.weierstrass_map(
-            generators[kind](), scale=scale, shift=shift,
-            center=complex(entry.get("center", 0.0)), radius=radius,
+    if kind in discs.CHART_MAPS:
+        return discs.CHART_MAPS[kind](
+            scale=entry["scale"], shift=entry["shift"], radius=entry["radius"]
         )
-    raise ConfigError("subharmonicity.maps", f"unknown map type {kind!r}")
+    return discs.weierstrass_map(
+        discs.WEIERSTRASS_DATA[kind](), scale=entry["scale"], shift=entry["shift"],
+        center=complex(entry["center"]), radius=entry["radius"],
+    )
 
 
 def _run_subharmonicity(cfg: AnalysisConfig, report: Report) -> None:
-    domain = _build_domain(cfg)
+    domain = surfaces.make_domain(**cfg.domain)
     bf = _barrier_for(cfg, domain)
     tol = cfg.params["tol"]
     inside = lambda x: float(domain.phi(x)) <= 1e-9
     maps = (
         default_test_maps(domain.name)
-        if cfg.params.get("maps") is None
+        if cfg.params["maps"] is None
         else [map_from_spec(entry) for entry in cfg.params["maps"]]
     )
     for cm in maps:
@@ -341,14 +313,13 @@ def _run_subharmonicity(cfg: AnalysisConfig, report: Report) -> None:
 
 
 def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
-    domain = _build_domain(cfg)
+    domain = surfaces.make_domain(**cfg.domain)
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.params["tolerance"]
-    is_ball = domain.name == "sphere" and float(cfg.domain.get("radius", 1.0)) == 1.0
+    # the reach of a ball is its radius
+    is_ball = domain.name == "sphere" and domain.reach_hint == 1.0
     pairs = []
-    if cfg.params.get("point") is not None:
-        if cfg.params.get("direction") is None:
-            raise ConfigError("metric.direction", "missing required field")
+    if cfg.params["point"] is not None:
         pairs.append(
             (
                 np.asarray(cfg.params["point"], dtype=float),
@@ -442,7 +413,7 @@ def _run_convex(cfg: AnalysisConfig, report: Report) -> None:
         )
         contains, rank, witness = hyperbolicity.convex_contains_2plane(h)
         n = np.atleast_2d(h.normals).shape[1]
-        expected = fx.get("contains_plane")
+        expected = fx["contains_plane"]
         report.add(
             CheckRecord(
                 f"{fx['name']}:rank", float(rank), None, True,
@@ -500,8 +471,6 @@ def run(cfg: AnalysisConfig) -> Report:
     report = Report(kind=cfg.kind, seed=cfg.seed, config_echo=cfg.raw)
     try:
         _PIPELINES[cfg.kind](cfg, report)
-    except ConfigError:
-        raise
     except Exception as exc:
         report.failure = f"{type(exc).__name__}: {exc}"
     return report
@@ -513,35 +482,20 @@ def main(argv=None) -> int:
         description="Batch analyses of m-convex domains: curvature, reach, "
         "distance barriers, subharmonicity, and hyperbolicity probes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each flag's dest is the config path it overrides
+    sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         sp = sub.add_parser(kind, help=f"run the {kind} pipeline")
-        sp.add_argument("--config", default=None, help="YAML config path")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument(
-            "--format", choices=["json-lines", "csv-summary"], default=None
-        )
-        sp.add_argument(
-            "--workers", type=int, default=None,
-            help="accepted for existing configs; no effect",
-        )
-    args = parser.parse_args(argv)
-
-    overrides = {
-        "kind": args.command,
-        "seed": args.seed,
-        "output.path": args.out,
-        "output.format": args.format,
-        "workers": args.workers,
-    }
+        sp.add_argument("--config", help="YAML config path")
+        sp.add_argument("--seed", type=int, help="RNG seed override")
+        sp.add_argument("--out", dest="output.path", metavar="OUT",
+                        help="output path (default stdout)")
+        sp.add_argument("--format", dest="output.format", choices=FORMATS)
+        sp.add_argument("--workers", type=int, help="accepted for existing configs; no effect")
+    overrides = vars(parser.parse_args(argv))
     try:
-        data = load_config(args.config, overrides)
-        cfg = validate(data)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        cfg = validate(load_config(overrides.pop("config"), overrides))
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

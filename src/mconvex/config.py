@@ -3,37 +3,28 @@
 One config drives one batch run. The document is a nested key/value
 mapping; any key can be overridden from the environment with the
 ``MCONVEX_`` prefix, double underscores separating nesting levels
-(``MCONVEX_BARRIER__M=3`` sets ``barrier.m``). Schema violations are
-reported with the offending field path. The schema reference lives in
-docs/config.md.
+(``MCONVEX_BARRIER__M=2`` sets ``barrier.m``). ``SCHEMA`` is the one table
+of keys: ``validate`` walks it, rejects every key it does not list for the
+config's kind, and reports each violation with the offending field path.
+docs/config.md documents the same table.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import yaml
 
-ENV_PREFIX = "MCONVEX_"
+from . import barrier, discs, surfaces
 
-KINDS = (
-    "curvature",
-    "reach",
-    "barrier",
-    "verify",
-    "subharmonicity",
-    "metric",
-    "omega-d",
-    "convex-classify",
-)
+ENV_PREFIX = "MCONVEX_"
 
 FORMATS = ("json-lines", "csv-summary")
 
-DOMAINS = ("sphere", "halfspace", "cylinder", "slab", "catenoid", "scherk")
-
-OMEGA_SLICES = ("disc", "punctured-plane", "plane")
+REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -44,19 +35,131 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+@dataclass(frozen=True)
+class Key:
+    """One schema row. ``default`` is REQUIRED, None (absent unless given) or
+    a value checked like a given one; ``range`` is an interval like ``"(0, 1]"``
+    on a number or a list's length; ``choices`` may map each allowed value to
+    the rows it brings; ``item`` (a Key, or a record of rows) checks list
+    entries; ``given_with`` names a key required whenever this one is given.
+    """
+
+    type: type
+    default: Any = REQUIRED
+    range: Optional[str] = None
+    choices: Any = None
+    item: Any = None
+    given_with: Optional[str] = None
+
+
+POSITIVE, NONNEGATIVE, COUNT = "(0, inf)", "[0, inf)", "[1, inf)"
+_N = surfaces.AMBIENT_DIM
+
+
+def _vector(default=REQUIRED, given_with=None) -> Key:
+    return Key(list, default, f"[{_N}, {_N}]", item=Key(float), given_with=given_with)
+
+
+# m of an m-convex domain in R^n: the curvature-sum and plurisubharmonicity order
+_M = Key(int, REQUIRED, f"[1, {_N - 1}]")
+
+_BARRIER = {
+    "barrier.m": _M,
+    "barrier.epsilon": Key(float, None, POSITIVE),
+    "barrier.epsilon_fraction": Key(float, 0.8, "(0, 1]"),
+    "barrier.alpha": Key(float, None, POSITIVE),
+    "barrier.safety": Key(float, 0.99, "(0, 1)"),
+    "barrier.ratios": Key(list, [0.9, 0.6, 0.3], "[3, 3]", item=Key(float, range="(0, 1)")),
+    "barrier.cap_degree": Key(int, 3, choices=tuple(barrier.CAP_POLYNOMIALS)),
+    "barrier.psh_tol": Key(float, 1e-8, NONNEGATIVE),
+    "barrier.levels": Key(int, 10, COUNT),
+    "barrier.fd_checks": Key(int, 0, NONNEGATIVE),
+}
+
+_CHART = {
+    "scale": Key(float, 1.0, POSITIVE),
+    "shift": _vector([0.0, 0.0, 0.0]),
+    "radius": Key(float, 0.5, POSITIVE),
+}
+
+_MAP_TYPES = {
+    "affine": {"p": _vector(), "u": _vector(), "w": _vector(),
+               "radius": Key(float, 1.0, POSITIVE), "name": Key(str, "affine")},
+    **{name: _CHART for name in discs.CHART_MAPS},
+    **{name: {**_CHART, "center": Key(float, 0.0)} for name in discs.WEIERSTRASS_DATA},
+}
+
+_FIXTURE = {
+    "name": Key(str),
+    "normals": Key(list, item=Key(list, item=Key(float))),
+    "constants": Key(list, item=Key(float)),
+    "interior": Key(list, item=Key(float)),
+    "contains_plane": Key(bool, None),
+}
+
+# the rows of each kind; a row's last path component names its ``params`` entry
+_KINDS = {
+    "curvature": {"curvature.m": _M,
+                  "curvature.flat_tol": Key(float, None, NONNEGATIVE),
+                  "curvature.r0": Key(float, 1.0, NONNEGATIVE)},
+    "reach": {"reach.m": _M, "reach.probes": Key(int, 16, COUNT)},
+    "barrier": _BARRIER,
+    "verify": _BARRIER,
+    "subharmonicity": {
+        **_BARRIER,
+        "subharmonicity.tol": Key(float, 1e-8, NONNEGATIVE),
+        "subharmonicity.negative_control": Key(bool, True),
+        "subharmonicity.maps": Key(list, None, COUNT, item={"type": Key(str, choices=_MAP_TYPES)}),
+    },
+    "metric": {
+        "metric.pairs": Key(int, 100, COUNT),
+        "metric.max_radius": Key(float, 0.9, POSITIVE),
+        "metric.tolerance": Key(float, 0.01, NONNEGATIVE),
+        "metric.point": _vector(None, given_with="metric.direction"),
+        "metric.direction": _vector(None, given_with="metric.point"),
+    },
+    "omega-d": {
+        "omega_d.slice": Key(str, "punctured-plane", choices=("disc", "punctured-plane", "plane")),
+        "omega_d.p": _vector([0.0, 0.0, 0.0]),
+        "omega_d.q": _vector([1.0, 0.0, 0.0]),
+        "omega_d.ks": Key(list, [10, 100, 1000, 10000], COUNT, item=Key(int, range=COUNT)),
+        "omega_d.threshold": Key(float, 0.01, POSITIVE),
+    },
+    "convex-classify": {"convex.fixtures": Key(list, REQUIRED, COUNT, item=_FIXTURE),
+                        "convex.trials": Key(int, 10000, COUNT)},
+}
+
+KINDS = tuple(_KINDS)
+
+SCHEMA = {
+    "kind": Key(str, choices=_KINDS),
+    "seed": Key(int, 0, NONNEGATIVE),
+    "workers": Key(int, 1, COUNT),
+    "output.path": Key(str, None),
+    "output.format": Key(str, "json-lines", choices=FORMATS),
+    # the catalog builder's parameters, each a positive length
+    "domain.name": Key(str, "sphere", choices={
+        name: {f"domain.{arg}": Key(float, None, POSITIVE)
+               for arg in inspect.signature(build).parameters}
+        for name, build in surfaces.DOMAIN_BUILDERS.items()}),
+    "grid.interior": Key(int, 2000, COUNT),
+    "grid.boundary": Key(int, 400, COUNT),
+}
+
+
 @dataclass
 class AnalysisConfig:
     """Validated run description; defaults filled in."""
 
     kind: str
-    seed: int = 0
-    out: Optional[str] = None
-    fmt: str = "json-lines"
-    workers: int = 1
-    domain: dict = field(default_factory=lambda: {"name": "sphere"})
-    grid: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    seed: int
+    out: Optional[str]
+    fmt: str
+    workers: int
+    domain: dict
+    grid: dict
+    params: dict
+    raw: dict
 
 
 def load_config(path: Optional[str], overrides: Optional[dict] = None) -> dict:
@@ -64,172 +167,113 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> dict:
     data: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+            data = yaml.safe_load(fh)
+        if data is None:
+            data = {}
+        if not isinstance(data, dict):
             raise ConfigError("<root>", "config document must be a mapping")
-        data = loaded
-    _apply_env(data, os.environ)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            _set_path(data, key.split("."), value)
+    env = {name[len(ENV_PREFIX):].lower().replace("__", "."): _env_value(text)
+           for name, text in sorted(os.environ.items()) if name.startswith(ENV_PREFIX)}
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    for key, value in {**env, **given}.items():
+        *sections, leaf = key.split(".")
+        node = data
+        for part in sections:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[leaf] = value
     return data
 
 
-def _apply_env(data: dict, env) -> None:
-    for name in sorted(env):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = [part.lower() for part in name[len(ENV_PREFIX):].split("__")]
-        try:
-            value = yaml.safe_load(env[name])
-        except yaml.YAMLError:
-            value = env[name]
-        _set_path(data, path, value)
-
-
-def _set_path(data: dict, path, value) -> None:
-    node = data
-    for part in path[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[path[-1]] = value
-
-
-def _require(data: dict, path: str, typ, choices=None):
-    node: Any = data
-    parts = path.split(".")
-    for part in parts:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(path, "missing required field")
-        node = node[part]
-    return _coerce(path, node, typ, choices)
-
-
-def _optional(data: dict, path: str, typ, default, choices=None):
-    node: Any = data
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    if node is None:
-        return default
-    return _coerce(path, node, typ, choices)
-
-
-def _coerce(path: str, value, typ, choices):
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if typ is int and isinstance(value, bool):
-        raise ConfigError(path, f"expected int, got bool {value!r}")
-    if not isinstance(value, typ):
-        raise ConfigError(path, f"expected {typ.__name__}, got {type(value).__name__}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"must be one of {list(choices)}, got {value!r}")
-    return value
+def _env_value(text: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError:
+        return text
 
 
 def validate(data: dict) -> AnalysisConfig:
-    """Check the document against the schema and fill defaults."""
-    kind = _require(data, "kind", str, KINDS)
-    seed = _optional(data, "seed", int, 0)
-    out = _optional(data, "output.path", str, None)
-    fmt = _optional(data, "output.format", str, "json-lines", FORMATS)
-    workers = _optional(data, "workers", int, 1)
-    if workers < 1:
-        raise ConfigError("workers", f"must be >= 1, got {workers}")
-    if seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {seed}")
+    """Check the document against ``SCHEMA`` and fill defaults.
 
-    domain = {"name": _optional(data, "domain.name", str, "sphere", DOMAINS)}
-    for key, value in (data.get("domain") or {}).items():
-        if key != "name":
-            domain[key] = value
+    ``data`` stays as loaded: it is the report's config echo."""
+    values = _record(SCHEMA, data, "")
 
-    grid = {
-        "interior": _optional(data, "grid.interior", int, 2000),
-        "boundary": _optional(data, "grid.boundary", int, 400),
-    }
-    for name, val in grid.items():
-        if val < 1:
-            raise ConfigError(f"grid.{name}", f"must be >= 1, got {val}")
-
-    params: dict = {}
-    if kind == "curvature":
-        params["m"] = _require(data, "curvature.m", int)
-        params["flat_tol"] = _optional(data, "curvature.flat_tol", float, None)
-        params["r0"] = _optional(data, "curvature.r0", float, 1.0)
-    elif kind == "reach":
-        params["m"] = _require(data, "reach.m", int)
-        params["probes"] = _optional(data, "reach.probes", int, 16)
-    elif kind in ("barrier", "verify", "subharmonicity"):
-        params["m"] = _require(data, "barrier.m", int)
-        params["epsilon"] = _optional(data, "barrier.epsilon", float, None)
-        params["epsilon_fraction"] = _optional(
-            data, "barrier.epsilon_fraction", float, 0.8
-        )
-        params["alpha"] = _optional(data, "barrier.alpha", float, None)
-        params["safety"] = _optional(data, "barrier.safety", float, 0.99)
-        params["ratios"] = _optional(data, "barrier.ratios", list, [0.9, 0.6, 0.3])
-        if len(params["ratios"]) != 3:
-            raise ConfigError("barrier.ratios", "must be three ratios")
-        params["cap_degree"] = _optional(data, "barrier.cap_degree", int, 3)
-        params["psh_tol"] = _optional(data, "barrier.psh_tol", float, 1e-8)
-        params["levels"] = _optional(data, "barrier.levels", int, 10)
-        params["fd_checks"] = _optional(data, "barrier.fd_checks", int, 0)
-        if kind == "subharmonicity":
-            params["tol"] = _optional(data, "subharmonicity.tol", float, 1e-8)
-            params["negative_control"] = _optional(
-                data, "subharmonicity.negative_control", bool, True
-            )
-            params["maps"] = _optional(data, "subharmonicity.maps", list, None)
-    elif kind == "metric":
-        params["pairs"] = _optional(data, "metric.pairs", int, 100)
-        params["max_radius"] = _optional(data, "metric.max_radius", float, 0.9)
-        params["tolerance"] = _optional(data, "metric.tolerance", float, 0.01)
-        params["point"] = _optional(data, "metric.point", list, None)
-        params["direction"] = _optional(data, "metric.direction", list, None)
-    elif kind == "omega-d":
-        params["slice"] = _optional(
-            data, "omega_d.slice", str, "punctured-plane", OMEGA_SLICES
-        )
-        params["p"] = _optional(data, "omega_d.p", list, [0.0, 0.0, 0.0])
-        params["q"] = _optional(data, "omega_d.q", list, [1.0, 0.0, 0.0])
-        params["ks"] = _optional(data, "omega_d.ks", list, [10, 100, 1000, 10000])
-        params["threshold"] = _optional(data, "omega_d.threshold", float, 0.01)
-        for name in ("p", "q"):
-            if len(params[name]) != 3:
-                raise ConfigError(f"omega_d.{name}", "must be a 3-vector")
-    elif kind == "convex-classify":
-        fixtures = _optional(data, "convex.fixtures", list, None)
-        if fixtures is None:
-            raise ConfigError("convex.fixtures", "missing required field")
-        for i, fx in enumerate(fixtures):
-            if not isinstance(fx, dict):
-                raise ConfigError(f"convex.fixtures[{i}]", "must be a mapping")
-            for fld in ("name", "normals", "constants", "interior"):
-                if fld not in fx:
-                    raise ConfigError(
-                        f"convex.fixtures[{i}].{fld}", "missing required field"
-                    )
-        params["fixtures"] = fixtures
-        params["trials"] = _optional(data, "convex.trials", int, 10000)
-
-    if kind in ("barrier", "verify", "subharmonicity") and params["m"] < 1:
-        raise ConfigError("barrier.m", f"must be >= 1, got {params['m']}")
+    def section(prefix: str) -> dict:
+        return {path[len(prefix):]: value for path, value in values.items()
+                if path.startswith(prefix) and value is not None}
 
     return AnalysisConfig(
-        kind=kind,
-        seed=seed,
-        out=out,
-        fmt=fmt,
-        workers=workers,
-        domain=domain,
-        grid=grid,
-        params=params,
+        kind=values["kind"],
+        seed=values["seed"],
+        out=values["output.path"],
+        fmt=values["output.format"],
+        workers=values["workers"],
+        domain=section("domain."),
+        grid=section("grid."),
+        params={path.rsplit(".", 1)[1]: values[path] for path in _KINDS[values["kind"]]},
         raw=data,
     )
+
+
+def _record(rows: dict, node, where: str) -> dict:
+    """Check one mapping against its rows; return the value of every row."""
+    rows = dict(rows)
+    for path, key in list(rows.items()):
+        if isinstance(key.choices, dict):
+            leaf = _leaves(node, rows, where).get(path)
+            rows.update(key.choices[_value(where + path, key, leaf)])
+    leaves = _leaves(node, rows, where)
+    for path, value in leaves.items():
+        section = path not in rows and any(row.startswith(path + ".") for row in rows)
+        if path not in rows and not (section and value is None):
+            raise ConfigError(where + path, "expected a mapping" if section else "unknown key")
+    values = {path: _value(where + path, key, leaves.get(path)) for path, key in rows.items()}
+    for path, key in rows.items():
+        if key.given_with and values[path] is not None and values[key.given_with] is None:
+            raise ConfigError(where + key.given_with, f"required with {where}{path}")
+    return values
+
+
+def _leaves(node, rows: dict, where: str, prefix: str = "") -> dict:
+    """Values by dotted path, descending only into the sections ``rows`` name."""
+    if not isinstance(node, dict):
+        raise ConfigError(where[:-1] or "<root>", f"expected a mapping, got {type(node).__name__}")
+    leaves = {}
+    for name, value in node.items():
+        path = prefix + str(name)
+        if isinstance(value, dict) and any(row.startswith(path + ".") for row in rows):
+            leaves.update(_leaves(value, rows, where, path + "."))
+        else:
+            leaves[path] = value
+    return leaves
+
+
+def _value(path: str, key: Key, value):
+    if value is None:
+        if key.default is REQUIRED:
+            raise ConfigError(path, "missing required field")
+        if key.default is None:
+            return None
+        value = key.default
+    if key.type is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, key.type) or (isinstance(value, bool) and key.type is not bool):
+        raise ConfigError(path, f"expected {key.type.__name__}, got {type(value).__name__}")
+    if key.choices is not None and value not in key.choices:
+        raise ConfigError(path, f"must be one of {list(key.choices)}, got {value!r}")
+    size = len(value) if key.type is list else value
+    if key.range is not None and not _inside(size, key.range):
+        what = "length" if key.type is list else "value"
+        raise ConfigError(path, f"{what} must lie in {key.range}, got {size!r}")
+    if isinstance(key.item, Key):
+        return [_value(f"{path}[{i}]", key.item, v) for i, v in enumerate(value)]
+    if key.item is not None:
+        return [_record(key.item, v, f"{path}[{i}].") for i, v in enumerate(value)]
+    return value
+
+
+def _inside(x, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < x if interval[0] == "(" else lo <= x
+    return above and (x < hi if interval[-1] == ")" else x <= hi)

@@ -328,6 +328,19 @@ def weierstrass_enneper() -> WeierstrassEntry:
     )
 
 
+# the map types a config entry can name, besides ``affine``
+CHART_MAPS = {
+    "catenoid-chart": catenoid_map,
+    "helicoid-chart": helicoid_map,
+    "enneper-chart": enneper_map,
+}
+WEIERSTRASS_DATA = {
+    "weierstrass-catenoid": weierstrass_catenoid,
+    "weierstrass-helicoid": weierstrass_helicoid,
+    "weierstrass-enneper": weierstrass_enneper,
+}
+
+
 def conformality_residual(cm: ConformalMap, z: complex):
     """The pair (f_x . f_y, |f_x|^2 - |f_y|^2); both vanish for conformal maps."""
     fx, fy = cm.jet1(z)

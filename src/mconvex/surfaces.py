@@ -4,16 +4,14 @@ A domain is given implicitly as ``{phi < 0}`` with an evaluable defining
 field, gradient, and Hessian. Principal curvatures of the boundary are read
 off the shape operator of the level set, with the sign convention that the
 boundary sphere of a ball is positively curved from the inner side. A small
-catalog of closed-form surfaces (plane, sphere, cylinder, slab, catenoid,
-helicoid, Enneper, Scherk) doubles as the test corpus; the parametric
-entries carry first and second fundamental forms as an independent
-curvature oracle.
+catalog of closed-form domains in R^3 (halfspace, ball, cylinder, slab,
+catenoid, Scherk) doubles as the test corpus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -128,65 +126,6 @@ class ImplicitDomain:
         if self._boundary_sampler is None:
             raise ValueError(f"domain {self.name!r} has no boundary sampler")
         return np.asarray(self._boundary_sampler(count), dtype=float)
-
-
-@dataclass
-class ParametricPatch:
-    """A parametrized surface chart in R^3 with analytic first/second jets.
-
-    ``inner_sign`` orients the normal ``inner_sign * (Fu x Fv)/|...|`` to
-    agree with the inner normal of the paired implicit domain, when there is
-    one. ``branch_points`` list parameter values where the immersion rank
-    drops; curvature queries near them are rejected.
-    """
-
-    name: str
-    f: Callable
-    fu: Callable
-    fv: Callable
-    fuu: Callable
-    fuv: Callable
-    fvv: Callable
-    u_range: tuple
-    v_range: tuple
-    inner_sign: float = 1.0
-    branch_points: Sequence[tuple] = field(default_factory=tuple)
-
-    def grid(self, nu: int, nv: int, shrink: float = 0.0) -> np.ndarray:
-        u0, u1 = self.u_range
-        v0, v1 = self.v_range
-        du = shrink * (u1 - u0)
-        dv = shrink * (v1 - v0)
-        uu = np.linspace(u0 + du, u1 - du, nu)
-        vv = np.linspace(v0 + dv, v1 - dv, nv)
-        u, v = np.meshgrid(uu, vv, indexing="ij")
-        return np.stack([u.ravel(), v.ravel()], axis=-1)
-
-    def points(self, uv: np.ndarray) -> np.ndarray:
-        uv = np.asarray(uv, dtype=float)
-        return self.f(uv[..., 0], uv[..., 1])
-
-    def fundamental_curvatures(self, u: float, v: float) -> np.ndarray:
-        """Ascending principal curvatures from the first/second forms."""
-        fu = np.asarray(self.fu(u, v), dtype=float)
-        fv = np.asarray(self.fv(u, v), dtype=float)
-        e1 = float(fu @ fu)
-        f1 = float(fu @ fv)
-        g1 = float(fv @ fv)
-        normal = np.cross(fu, fv)
-        nn = np.linalg.norm(normal)
-        if nn < 1e-12:
-            raise SingularPointError(nn)
-        normal = self.inner_sign * normal / nn
-        e2 = float(normal @ np.asarray(self.fuu(u, v), dtype=float))
-        f2 = float(normal @ np.asarray(self.fuv(u, v), dtype=float))
-        g2 = float(normal @ np.asarray(self.fvv(u, v), dtype=float))
-        first = np.array([[e1, f1], [f1, g1]])
-        second = np.array([[e2, f2], [f2, g2]])
-        shape = np.linalg.solve(first, second)
-        # symmetrize in the metric: eigenvalues of I^-1 II are real
-        kappa = np.linalg.eigvals(shape).real
-        return np.sort(kappa)
 
 
 def boundary_frames(domain: ImplicitDomain, feet: np.ndarray) -> SurfacePoint:
@@ -316,6 +255,9 @@ def m_flatness_report(
 # ---------------------------------------------------------------------------
 # catalog
 
+# every catalog domain lives in R^3
+AMBIENT_DIM = 3
+
 
 def _fibonacci_directions(count: int) -> np.ndarray:
     k = np.arange(count, dtype=float)
@@ -358,7 +300,7 @@ def sphere(radius: float = 1.0) -> ImplicitDomain:
 
     return ImplicitDomain(
         "sphere",
-        3,
+        AMBIENT_DIM,
         phi,
         grad,
         hess,
@@ -400,7 +342,7 @@ def halfspace() -> ImplicitDomain:
 
     return ImplicitDomain(
         "halfspace",
-        3,
+        AMBIENT_DIM,
         phi,
         grad,
         hess,
@@ -464,7 +406,7 @@ def cylinder(radius: float = 1.0) -> ImplicitDomain:
 
     return ImplicitDomain(
         "cylinder",
-        3,
+        AMBIENT_DIM,
         phi,
         grad,
         hess,
@@ -515,7 +457,7 @@ def slab(half_width: float = 1.0) -> ImplicitDomain:
 
     return ImplicitDomain(
         "slab",
-        3,
+        AMBIENT_DIM,
         phi,
         grad,
         hess,
@@ -579,7 +521,7 @@ def catenoid(scale: float = 1.0, z_extent: float = 1.2) -> ImplicitDomain:
     rmax = s * np.cosh(z_extent / s)
     return ImplicitDomain(
         "catenoid",
-        3,
+        AMBIENT_DIM,
         phi,
         grad,
         hess,
@@ -629,249 +571,12 @@ def scherk() -> ImplicitDomain:
 
     return ImplicitDomain(
         "scherk",
-        3,
+        AMBIENT_DIM,
         phi,
         grad,
         hess,
         boundary_sampler=boundary,
         box=np.array([[-1.4, -1.4, -2.0], [1.4, 1.4, 2.0]]),
-    )
-
-
-def catenoid_patch(scale: float = 1.0, u_extent: float = 1.2) -> ParametricPatch:
-    """Catenoid chart (s cosh v cos u, s cosh v sin u, s v), inner normal toward the axis."""
-    s = float(scale)
-
-    def f(u, v):
-        return np.stack(
-            [s * np.cosh(v) * np.cos(u), s * np.cosh(v) * np.sin(u), s * v], axis=-1
-        )
-
-    def fu(u, v):
-        return np.stack(
-            [-s * np.cosh(v) * np.sin(u), s * np.cosh(v) * np.cos(u), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fv(u, v):
-        return np.stack(
-            [s * np.sinh(v) * np.cos(u), s * np.sinh(v) * np.sin(u), np.full_like(u + v, s)],
-            axis=-1,
-        )
-
-    def fuu(u, v):
-        return np.stack(
-            [-s * np.cosh(v) * np.cos(u), -s * np.cosh(v) * np.sin(u), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fuv(u, v):
-        return np.stack(
-            [-s * np.sinh(v) * np.sin(u), s * np.sinh(v) * np.cos(u), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fvv(u, v):
-        return np.stack(
-            [s * np.cosh(v) * np.cos(u), s * np.cosh(v) * np.sin(u), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    return ParametricPatch(
-        name="catenoid",
-        f=f,
-        fu=fu,
-        fv=fv,
-        fuu=fuu,
-        fuv=fuv,
-        fvv=fvv,
-        u_range=(0.0, 2.0 * np.pi),
-        v_range=(-u_extent, u_extent),
-        inner_sign=-1.0,
-    )
-
-
-def helicoid_patch(extent: float = 1.2) -> ParametricPatch:
-    """Helicoid chart (sinh u sin v, -sinh u cos v, -v)."""
-
-    def f(u, v):
-        return np.stack([np.sinh(u) * np.sin(v), -np.sinh(u) * np.cos(v), -v], axis=-1)
-
-    def fu(u, v):
-        return np.stack(
-            [np.cosh(u) * np.sin(v), -np.cosh(u) * np.cos(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fv(u, v):
-        return np.stack(
-            [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), -np.ones_like(u + v)],
-            axis=-1,
-        )
-
-    def fuu(u, v):
-        return np.stack(
-            [np.sinh(u) * np.sin(v), -np.sinh(u) * np.cos(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fuv(u, v):
-        return np.stack(
-            [np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fvv(u, v):
-        return np.stack(
-            [-np.sinh(u) * np.sin(v), np.sinh(u) * np.cos(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    return ParametricPatch(
-        name="helicoid",
-        f=f,
-        fu=fu,
-        fv=fv,
-        fuu=fuu,
-        fuv=fuv,
-        fvv=fvv,
-        u_range=(-extent, extent),
-        v_range=(-extent, extent),
-    )
-
-
-def enneper_patch(extent: float = 0.8) -> ParametricPatch:
-    """Enneper chart (u - u^3/3 + u v^2, -v + v^3/3 - v u^2, u^2 - v^2)."""
-
-    def f(u, v):
-        return np.stack(
-            [
-                u - u**3 / 3.0 + u * v**2,
-                -v + v**3 / 3.0 - v * u**2,
-                u**2 - v**2,
-            ],
-            axis=-1,
-        )
-
-    def fu(u, v):
-        return np.stack([1.0 - u**2 + v**2, -2.0 * u * v, 2.0 * u], axis=-1)
-
-    def fv(u, v):
-        return np.stack([2.0 * u * v, -1.0 + v**2 - u**2, -2.0 * v], axis=-1)
-
-    def fuu(u, v):
-        return np.stack([-2.0 * u, -2.0 * v, 2.0 * np.ones_like(u + v)], axis=-1)
-
-    def fuv(u, v):
-        return np.stack([2.0 * v, -2.0 * u, np.zeros_like(u + v)], axis=-1)
-
-    def fvv(u, v):
-        return np.stack([2.0 * u, 2.0 * v, -2.0 * np.ones_like(u + v)], axis=-1)
-
-    return ParametricPatch(
-        name="enneper",
-        f=f,
-        fu=fu,
-        fv=fv,
-        fuu=fuu,
-        fuv=fuv,
-        fvv=fvv,
-        u_range=(-extent, extent),
-        v_range=(-extent, extent),
-    )
-
-
-def sphere_patch(radius: float = 1.0) -> ParametricPatch:
-    """Spherical chart, inner normal pointing to the center."""
-    r = float(radius)
-
-    def f(u, v):
-        return np.stack(
-            [r * np.cos(u) * np.cos(v), r * np.sin(u) * np.cos(v), r * np.sin(v)],
-            axis=-1,
-        )
-
-    def fu(u, v):
-        return np.stack(
-            [-r * np.sin(u) * np.cos(v), r * np.cos(u) * np.cos(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fv(u, v):
-        return np.stack(
-            [-r * np.cos(u) * np.sin(v), -r * np.sin(u) * np.sin(v), r * np.cos(v)],
-            axis=-1,
-        )
-
-    def fuu(u, v):
-        return np.stack(
-            [-r * np.cos(u) * np.cos(v), -r * np.sin(u) * np.cos(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fuv(u, v):
-        return np.stack(
-            [r * np.sin(u) * np.sin(v), -r * np.cos(u) * np.sin(v), np.zeros_like(u + v)],
-            axis=-1,
-        )
-
-    def fvv(u, v):
-        return np.stack(
-            [-r * np.cos(u) * np.cos(v), -r * np.sin(u) * np.cos(v), -r * np.sin(v)],
-            axis=-1,
-        )
-
-    return ParametricPatch(
-        name="sphere",
-        f=f,
-        fu=fu,
-        fv=fv,
-        fuu=fuu,
-        fuv=fuv,
-        fvv=fvv,
-        u_range=(0.0, 2.0 * np.pi),
-        v_range=(-1.2, 1.2),
-        inner_sign=-1.0,
-    )
-
-
-def scherk_patch(extent: float = 0.45 * np.pi) -> ParametricPatch:
-    """Graph chart of Scherk's surface, x3 = log(cos v / cos u)."""
-
-    def f(u, v):
-        return np.stack([u, v, np.log(np.cos(v) / np.cos(u))], axis=-1)
-
-    def fu(u, v):
-        return np.stack([np.ones_like(u + v), np.zeros_like(u + v), np.tan(u)], axis=-1)
-
-    def fv(u, v):
-        return np.stack([np.zeros_like(u + v), np.ones_like(u + v), -np.tan(v)], axis=-1)
-
-    def fuu(u, v):
-        return np.stack(
-            [np.zeros_like(u + v), np.zeros_like(u + v), 1.0 / np.cos(u) ** 2], axis=-1
-        )
-
-    def fuv(u, v):
-        return np.stack(
-            [np.zeros_like(u + v), np.zeros_like(u + v), np.zeros_like(u + v)], axis=-1
-        )
-
-    def fvv(u, v):
-        return np.stack(
-            [np.zeros_like(u + v), np.zeros_like(u + v), -1.0 / np.cos(v) ** 2], axis=-1
-        )
-
-    return ParametricPatch(
-        name="scherk",
-        f=f,
-        fu=fu,
-        fv=fv,
-        fuu=fuu,
-        fuv=fuv,
-        fvv=fvv,
-        u_range=(-extent, extent),
-        v_range=(-extent, extent),
     )
 
 
@@ -882,14 +587,6 @@ DOMAIN_BUILDERS = {
     "slab": slab,
     "catenoid": catenoid,
     "scherk": scherk,
-}
-
-PATCH_BUILDERS = {
-    "sphere": sphere_patch,
-    "catenoid": catenoid_patch,
-    "helicoid": helicoid_patch,
-    "enneper": enneper_patch,
-    "scherk": scherk_patch,
 }
 
 

@@ -1,10 +1,15 @@
+import copy
+import glob
 import os
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from mconvex import cli, config, report
+from mconvex import cli, config, discs, report
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 BARRIER_CFG = {
@@ -16,10 +21,185 @@ BARRIER_CFG = {
 }
 
 
+SUBHARMONICITY_CFG = {
+    "kind": "subharmonicity",
+    "domain": {"name": "slab"},
+    "barrier": {"m": 2, "epsilon": 1.0},
+}
+
+SLAB_FIXTURE = {
+    "name": "slab",
+    "normals": [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+    "constants": [1.0, 1.0],
+    "interior": [0.0, 0.0, 0.0],
+}
+
+
 def write_cfg(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return str(path)
+
+
+def with_section(base, section, **keys):
+    data = copy.deepcopy(base)
+    data.setdefault(section, {}).update(keys)
+    return data
+
+
+# (subcommand, config document, environment, the field path the error names)
+SCHEMA_VIOLATIONS = [
+    # misspelt or unknown keys, which a run would otherwise ignore
+    ("barrier", with_section(BARRIER_CFG, "barrier", epsilom=0.5), {}, "barrier.epsilom"),
+    ("metric", {"metric": {"pairs": 1}, "metrc": {"pairs": 2}}, {}, "metrc"),
+    ("barrier", BARRIER_CFG, {"MCONVEX_BARRIER__EPSILOM": "0.5"}, "barrier.epsilom"),
+    # values the pipeline cannot use
+    ("barrier", with_section(BARRIER_CFG, "domain", bogus=1), {}, "domain.bogus"),
+    ("barrier", with_section(BARRIER_CFG, "domain", half_width=2.0), {}, "domain.half_width"),
+    ("barrier", with_section(BARRIER_CFG, "barrier", ratios=["a", "b", "c"]), {},
+     "barrier.ratios[0]"),
+    ("barrier", with_section(BARRIER_CFG, "barrier", cap_degree=4), {}, "barrier.cap_degree"),
+    ("curvature", {"domain": {"name": "catenoid"}, "curvature": {"m": 5}}, {}, "curvature.m"),
+    ("barrier", with_section(BARRIER_CFG, "barrier", m=3), {}, "barrier.m"),
+    ("reach", {"domain": {"name": "catenoid"}, "reach": {"m": 2, "probes": 0}}, {},
+     "reach.probes"),
+    # fields needed together, or by a map entry's type
+    ("metric", {"metric": {"point": [0.1, 0.0, 0.0]}}, {}, "metric.direction"),
+    ("subharmonicity", with_section(SUBHARMONICITY_CFG, "subharmonicity", maps=[{"type": "nope"}]),
+     {}, "subharmonicity.maps[0].type"),
+    ("subharmonicity", with_section(SUBHARMONICITY_CFG, "subharmonicity", maps=[{"type": "affine"}]),
+     {}, "subharmonicity.maps[0].p"),
+    # values that would make a check vacuous
+    ("metric", {"metric": {"pairs": -3}}, {}, "metric.pairs"),
+    ("barrier", with_section(BARRIER_CFG, "barrier", levels=-2), {}, "barrier.levels"),
+    ("convex-classify", {"convex": {"trials": 0, "fixtures": [SLAB_FIXTURE]}}, {},
+     "convex.trials"),
+    ("subharmonicity",
+     with_section(SUBHARMONICITY_CFG, "subharmonicity", maps=[], negative_control=False), {},
+     "subharmonicity.maps"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, data, env, path", SCHEMA_VIOLATIONS,
+    ids=[next(iter(env), path) for _, _, env, path in SCHEMA_VIOLATIONS],
+)
+def test_schema_violation_exits_2_naming_path(tmp_path, monkeypatch, capsys, kind, data, env, path):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "report.jsonl"
+    assert cli.main([kind, "--config", write_cfg(tmp_path, data), "--out", str(out)]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_map_entries_take_documented_defaults():
+    entries = [
+        {"type": "affine", "p": [0, 0, 0.1], "u": [0.5, 0, 0], "w": [0, 0.5, 0]},
+        {"type": "catenoid-chart", "scale": 0.4},
+        {"type": "helicoid-chart", "shift": [0.1, 0, 0]},
+        {"type": "enneper-chart", "radius": 0.3},
+        {"type": "weierstrass-catenoid", "center": 1, "radius": 0.3},
+        {"type": "weierstrass-helicoid"},
+        {"type": "weierstrass-enneper", "scale": 0.2},
+    ]
+    expected = [
+        discs.affine_disc([0, 0, 0.1], [0.5, 0, 0], [0, 0.5, 0], radius=1.0, name="affine"),
+        discs.catenoid_map(scale=0.4, shift=(0, 0, 0), radius=0.5),
+        discs.helicoid_map(scale=1.0, shift=(0.1, 0, 0), radius=0.5),
+        discs.enneper_map(scale=1.0, shift=(0, 0, 0), radius=0.3),
+        discs.weierstrass_map(discs.weierstrass_catenoid(), scale=1.0, shift=(0, 0, 0),
+                              center=1.0, radius=0.3),
+        discs.weierstrass_map(discs.weierstrass_helicoid(), scale=1.0, shift=(0, 0, 0),
+                              center=0.0, radius=0.5),
+        discs.weierstrass_map(discs.weierstrass_enneper(), scale=0.2, shift=(0, 0, 0),
+                              center=0.0, radius=0.5),
+    ]
+    cfg = config.validate(with_section(SUBHARMONICITY_CFG, "subharmonicity", maps=entries))
+    for entry, ref in zip(cfg.params["maps"], expected):
+        cm = cli.map_from_spec(entry)
+        assert (cm.name, cm.center, cm.radius) == (ref.name, ref.center, ref.radius)
+        zs = ref.grid(rings=2, spokes=4)
+        assert np.array_equal(cm(zs), ref(zs)), entry["type"]
+
+
+BARRIER_PARAMS = {
+    "m": 2, "epsilon": None, "epsilon_fraction": 0.8, "alpha": None, "safety": 0.99,
+    "ratios": [0.9, 0.6, 0.3], "cap_degree": 3, "psh_tol": 1e-8, "levels": 10, "fd_checks": 0,
+}
+DEFAULT_GRID = {"interior": 2000, "boundary": 400}
+
+# what each committed config validates to, pinned so that a schema change
+# cannot move a pipeline's inputs: (kind, seed, workers, domain, grid, params)
+COMMITTED = {
+    "barrier_sphere": ("barrier", 7, 1, {"name": "sphere"}, {"interior": 1500, "boundary": 300},
+                       {**BARRIER_PARAMS, "epsilon": 1.0}),
+    "convex_classify": ("convex-classify", 3, 1, {"name": "sphere"}, DEFAULT_GRID, {
+        "fixtures": [
+            {**SLAB_FIXTURE, "contains_plane": True},
+            {"name": "wedge", "normals": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+             "constants": [0.0, 0.0], "interior": [0.0, -1.0, -1.0], "contains_plane": False},
+        ],
+        "trials": 2000,
+    }),
+    "curvature_catenoid": ("curvature", 0, 1, {"name": "catenoid"},
+                           {"interior": 2000, "boundary": 400},
+                           {"m": 2, "flat_tol": None, "r0": 1.5}),
+    "metric_ball": ("metric", 11, 1, {"name": "sphere"}, DEFAULT_GRID, {
+        "pairs": 5, "max_radius": 0.9, "tolerance": 0.01, "point": None, "direction": None,
+    }),
+    "omega_d": ("omega-d", 0, 1, {"name": "sphere"}, DEFAULT_GRID, {
+        "slice": "punctured-plane", "p": [0.0, 0.0, 0.0], "q": [1.0, 0.0, 0.0],
+        "ks": [10, 100, 1000, 10000], "threshold": 0.01,
+    }),
+    "reach_catenoid": ("reach", 0, 1, {"name": "catenoid"}, {"interior": 2000, "boundary": 144},
+                       {"m": 2, "probes": 12}),
+    "subharmonicity_slab": ("subharmonicity", 0, 1, {"name": "slab"}, DEFAULT_GRID, {
+        **BARRIER_PARAMS, "epsilon": 1.0, "tol": 1e-8, "negative_control": True, "maps": None,
+    }),
+    "verify_catenoid": ("verify", 0, 2, {"name": "catenoid"}, DEFAULT_GRID, BARRIER_PARAMS),
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(ROOT, "configs", "*.yaml"))), ids=os.path.basename
+)
+def test_committed_config_validates_unchanged(path):
+    data = config.load_config(path)
+    loaded = copy.deepcopy(data)
+    cfg = config.validate(data)
+    # the echo is the document as loaded, with no defaults written into it
+    assert cfg.raw is data and data == loaded
+    kind, seed, workers, domain, grid, params = COMMITTED[os.path.basename(path)[:-5]]
+    assert (cfg.kind, cfg.seed, cfg.out, cfg.fmt, cfg.workers) == (
+        kind, seed, None, "json-lines", workers
+    )
+    assert (cfg.domain, cfg.grid, cfg.params) == (domain, grid, params)
+
+
+def schema_rows(rows, prefix=""):
+    """Every (documented key, row) of a schema table; list records use ``[]``."""
+    for path, key in rows.items():
+        yield prefix + path, key
+        for sub in (key.choices.values() if isinstance(key.choices, dict) else ()):
+            yield from schema_rows(sub, prefix)
+        if isinstance(key.item, dict):
+            yield from schema_rows(key.item, f"{prefix}{path}[].")
+
+
+def test_docs_tables_match_schema():
+    ranges = {}
+    for name, key in schema_rows(config.SCHEMA):
+        ranges.setdefault(name, set()).add(key.range or "-")
+    documented = {}
+    with open(os.path.join(ROOT, "docs", "config.md"), encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in line.split("|")[1:-1]]
+                (name,) = re.findall(r"`([^`]+)`", cells[0])
+                documented[name] = {cells[3].strip("`")}
+    assert set(documented) == set(ranges)
+    assert documented == ranges
 
 
 def test_validate_fills_defaults():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mconvex import surfaces
+from mconvex import discs, surfaces
 
 
 def test_ball_curvatures_positive():
@@ -28,11 +28,71 @@ def test_catenoid_neck():
     assert abs(sp.curvatures.sum()) < 1e-9
 
 
+def form_curvatures(fu, fv, fuu, fuv, fvv, inner_sign=1.0):
+    """Ascending principal curvatures from the first and second fundamental forms.
+
+    The normal is ``inner_sign * (fu x fv) / |fu x fv|``; this is the
+    independent oracle for the shape-operator curvatures.
+    """
+    fu = np.asarray(fu, dtype=float)
+    fv = np.asarray(fv, dtype=float)
+    normal = np.cross(fu, fv)
+    normal = inner_sign * normal / np.linalg.norm(normal)
+    first = np.array([[fu @ fu, fu @ fv], [fu @ fv, fv @ fv]])
+    second = np.array(
+        [[normal @ fuu, normal @ fuv], [normal @ fuv, normal @ fvv]], dtype=float
+    )
+    # eigenvalues of I^-1 II are real
+    return np.sort(np.linalg.eigvals(np.linalg.solve(first, second)).real)
+
+
+def map_curvatures(cm, z, inner_sign=1.0):
+    """Fundamental-form curvatures of a conformal chart at parameter z."""
+    return form_curvatures(*cm.jet1(z), *cm.jet2(z), inner_sign=inner_sign)
+
+
+def sphere_chart(u, v, r=1.0):
+    """(r cos u cos v, r sin u cos v, r sin v) and its jets; the inner side is -(fu x fv)."""
+    point = r * np.array([np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v)])
+    jets = (
+        r * np.array([-np.sin(u) * np.cos(v), np.cos(u) * np.cos(v), 0.0]),
+        r * np.array([-np.cos(u) * np.sin(v), -np.sin(u) * np.sin(v), np.cos(v)]),
+        r * np.array([-np.cos(u) * np.cos(v), -np.sin(u) * np.cos(v), 0.0]),
+        r * np.array([np.sin(u) * np.sin(v), -np.cos(u) * np.sin(v), 0.0]),
+        r * np.array([-np.cos(u) * np.cos(v), -np.sin(u) * np.cos(v), -np.sin(v)]),
+    )
+    return point, jets
+
+
+def scherk_chart(u, v):
+    """Scherk's surface as the graph x3 = log(cos v / cos u), and its jets."""
+    point = np.array([u, v, np.log(np.cos(v) / np.cos(u))])
+    jets = (
+        np.array([1.0, 0.0, np.tan(u)]),
+        np.array([0.0, 1.0, -np.tan(v)]),
+        np.array([0.0, 0.0, 1.0 / np.cos(u) ** 2]),
+        np.zeros(3),
+        np.array([0.0, 0.0, -1.0 / np.cos(v) ** 2]),
+    )
+    return point, jets
+
+
+def chart_grid(extent_u, extent_v, n=8, shrink=0.05):
+    """n x n parameter lattice, each range pulled in by ``shrink`` of its width."""
+    (u0, u1), (v0, v1) = extent_u, extent_v
+    du, dv = shrink * (u1 - u0), shrink * (v1 - v0)
+    u, v = np.meshgrid(
+        np.linspace(u0 + du, u1 - du, n), np.linspace(v0 + dv, v1 - dv, n), indexing="ij"
+    )
+    return np.stack([u.ravel(), v.ravel()], axis=-1)
+
+
 def test_catenoid_parametric_oracle_agreement():
     cat = surfaces.catenoid()
-    patch = surfaces.catenoid_patch()
+    chart = discs.catenoid_map()
     for u, v in [(0.0, 0.0), (0.5, 0.3), (2.0, -0.7), (4.0, 1.0)]:
-        kappa = patch.fundamental_curvatures(u, v)
+        # the chart's real part is the height, so (u, v) enters as v + iu
+        kappa = map_curvatures(chart, v + 1j * u)
         p = np.array([np.cosh(v) * np.cos(u), np.cosh(v) * np.sin(u), v])
         sp = surfaces.principal_curvatures(cat, p)
         assert np.max(np.abs(kappa - sp.curvatures)) < 1e-5
@@ -40,36 +100,39 @@ def test_catenoid_parametric_oracle_agreement():
 
 def test_sphere_parametric_oracle_agreement():
     ball = surfaces.sphere()
-    patch = surfaces.sphere_patch()
     for u, v in [(0.0, 0.0), (1.0, 0.4), (2.5, -0.9)]:
-        kappa = patch.fundamental_curvatures(u, v)
-        p = patch.f(np.array(u), np.array(v))
+        p, jets = sphere_chart(u, v)
+        kappa = form_curvatures(*jets, inner_sign=-1.0)
         sp = surfaces.principal_curvatures(ball, p)
         assert np.max(np.abs(kappa - sp.curvatures)) < 1e-5
 
 
 def test_scherk_parametric_oracle_agreement():
     dom = surfaces.scherk()
-    patch = surfaces.scherk_patch()
     for u, v in [(0.0, 0.0), (0.6, 0.2), (-0.8, 0.9)]:
-        kappa = patch.fundamental_curvatures(u, v)
-        p = patch.f(np.array(u), np.array(v))
+        p, jets = scherk_chart(u, v)
+        kappa = form_curvatures(*jets)
         sp = surfaces.principal_curvatures(dom, p)
         # orientation-free comparison: minimal surfaces have symmetric spectra
         assert np.max(np.abs(np.abs(kappa) - np.abs(sp.curvatures))) < 1e-5
 
 
 def test_minimal_catalog_mean_curvature_vanishes():
-    patches = [
-        surfaces.catenoid_patch(),
-        surfaces.helicoid_patch(),
-        surfaces.enneper_patch(),
-        surfaces.scherk_patch(),
+    scherk = 0.45 * np.pi
+    charts = [
+        ("catenoid", lambda u, v: map_curvatures(discs.catenoid_map(), v + 1j * u),
+         (0.0, 2.0 * np.pi), (-1.2, 1.2)),
+        ("helicoid", lambda u, v: map_curvatures(discs.helicoid_map(), u + 1j * v),
+         (-1.2, 1.2), (-1.2, 1.2)),
+        ("enneper", lambda u, v: map_curvatures(discs.enneper_map(), u + 1j * v),
+         (-0.8, 0.8), (-0.8, 0.8)),
+        ("scherk", lambda u, v: form_curvatures(*scherk_chart(u, v)[1]),
+         (-scherk, scherk), (-scherk, scherk)),
     ]
-    for patch in patches:
-        for uv in patch.grid(8, 8, shrink=0.05):
-            kappa = patch.fundamental_curvatures(uv[0], uv[1])
-            assert abs(kappa.sum()) <= 1e-6, patch.name
+    for name, curvatures, extent_u, extent_v in charts:
+        for u, v in chart_grid(extent_u, extent_v):
+            kappa = curvatures(u, v)
+            assert abs(kappa.sum()) <= 1e-6, name
 
 
 def test_principal_directions_tangent():
