@@ -370,12 +370,7 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
 
 
 def _run_omega_d(cfg: AnalysisConfig, report: Report) -> None:
-    slices = {
-        "disc": hyperbolicity.planar_disc,
-        "punctured-plane": hyperbolicity.punctured_plane,
-        "plane": hyperbolicity.full_plane,
-    }
-    dom = slices[cfg.params["slice"]]()
+    dom = hyperbolicity.SLICES[cfg.params["slice"]]()
     p = np.asarray(cfg.params["p"], dtype=float)
     q = np.asarray(cfg.params["q"], dtype=float)
     prev = np.inf

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 import yaml
 
-from . import barrier, discs, surfaces
+from . import barrier, discs, hyperbolicity, surfaces
 
 ENV_PREFIX = "MCONVEX_"
 
@@ -41,7 +41,8 @@ class Key:
     a value checked like a given one; ``range`` is an interval like ``"(0, 1]"``
     on a number or a list's length; ``choices`` may map each allowed value to
     the rows it brings; ``item`` (a Key, or a record of rows) checks list
-    entries; ``given_with`` names a key required whenever this one is given.
+    entries; ``given_with`` names a key required whenever this one is given;
+    ``holds`` is a (predicate, message) pair the checked value must satisfy.
     """
 
     type: type
@@ -50,6 +51,7 @@ class Key:
     choices: Any = None
     item: Any = None
     given_with: Optional[str] = None
+    holds: Optional[tuple] = None
 
 
 POSITIVE, NONNEGATIVE, COUNT = "(0, inf)", "[0, inf)", "[1, inf)"
@@ -69,7 +71,8 @@ _BARRIER = {
     "barrier.epsilon_fraction": Key(float, 0.8, "(0, 1]"),
     "barrier.alpha": Key(float, None, POSITIVE),
     "barrier.safety": Key(float, 0.99, "(0, 1)"),
-    "barrier.ratios": Key(list, [0.9, 0.6, 0.3], "[3, 3]", item=Key(float, range="(0, 1)")),
+    "barrier.ratios": Key(list, [0.9, 0.6, 0.3], "[3, 3]", item=Key(float, range="(0, 1)"),
+                          holds=(lambda r: r[2] < r[1], "eps1/eps0 must lie below eps2/eps0")),
     "barrier.cap_degree": Key(int, 3, choices=tuple(barrier.CAP_POLYNOMIALS)),
     "barrier.psh_tol": Key(float, 1e-8, NONNEGATIVE),
     "barrier.levels": Key(int, 10, COUNT),
@@ -119,7 +122,7 @@ _KINDS = {
         "metric.direction": _vector(None, given_with="metric.point"),
     },
     "omega-d": {
-        "omega_d.slice": Key(str, "punctured-plane", choices=("disc", "punctured-plane", "plane")),
+        "omega_d.slice": Key(str, "punctured-plane", choices=tuple(hyperbolicity.SLICES)),
         "omega_d.p": _vector([0.0, 0.0, 0.0]),
         "omega_d.q": _vector([1.0, 0.0, 0.0]),
         "omega_d.ks": Key(list, [10, 100, 1000, 10000], COUNT, item=Key(int, range=COUNT)),
@@ -167,7 +170,10 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> dict:
     data: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            try:
+                data = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError(path, f"not valid YAML: {exc}") from exc
         if data is None:
             data = {}
         if not isinstance(data, dict):
@@ -267,9 +273,11 @@ def _value(path: str, key: Key, value):
         what = "length" if key.type is list else "value"
         raise ConfigError(path, f"{what} must lie in {key.range}, got {size!r}")
     if isinstance(key.item, Key):
-        return [_value(f"{path}[{i}]", key.item, v) for i, v in enumerate(value)]
-    if key.item is not None:
-        return [_record(key.item, v, f"{path}[{i}].") for i, v in enumerate(value)]
+        value = [_value(f"{path}[{i}]", key.item, v) for i, v in enumerate(value)]
+    elif key.item is not None:
+        value = [_record(key.item, v, f"{path}[{i}].") for i, v in enumerate(value)]
+    if key.holds is not None and not key.holds[0](value):
+        raise ConfigError(path, f"{key.holds[1]}, got {value!r}")
     return value
 
 

@@ -5,7 +5,9 @@ branched minimal surface; composing a C^2 ambient function with it and
 taking the parameter Laplacian measures the trace of the ambient Hessian
 over the tangent plane, scaled by the conformal factor. The catalog holds
 affine discs, closed-form minimal charts, and maps generated from
-holomorphic Gauss-map data by numerical integration.
+holomorphic Gauss-map data by numerical integration. Maps, jets and
+composed Laplacians take arrays of parameters: a whole sample grid is one
+call.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from . import mpsh
 
 
 class NonHarmonicMapError(ValueError):
@@ -26,7 +30,9 @@ JET_STEP = 1e-5
 class ConformalMap:
     """A plane-to-R^n map with first and second parameter jets.
 
-    ``f(z)`` maps complex parameters to points, vectorized over arrays.
+    ``f(z)``, ``jet1(z)`` and ``jet2(z)`` take complex parameters of any
+    shape S and return arrays of shape S + (n,): the points, the pair
+    (f_x, f_y) and the triple (f_xx, f_xy, f_yy). A scalar z gives (n,).
     Missing jets fall back to centered differences (first jets from values,
     second jets from first jets). ``branch_points`` are parameter values
     where the rank drops; residual checks skip a small neighborhood of them.
@@ -55,31 +61,33 @@ class ConformalMap:
     def __call__(self, z):
         return self.f(z)
 
-    def jet1(self, z: complex):
+    def jet1(self, z):
         """(f_x, f_y) at z."""
         if self._jet1 is not None:
             return self._jet1(z)
-        h = JET_STEP * (1.0 + abs(z))
-        fx = (self.f(z + h) - self.f(z - h)) / (2.0 * h)
-        fy = (self.f(z + 1j * h) - self.f(z - 1j * h)) / (2.0 * h)
+        h, two_h = _steps(z)
+        fx = (self.f(z + h) - self.f(z - h)) / two_h
+        fy = (self.f(z + 1j * h) - self.f(z - 1j * h)) / two_h
         return np.asarray(fx, dtype=float), np.asarray(fy, dtype=float)
 
-    def jet2(self, z: complex):
+    def jet2(self, z):
         """(f_xx, f_xy, f_yy) at z, differencing the first jets if needed."""
         if self._jet2 is not None:
             return self._jet2(z)
-        h = JET_STEP * (1.0 + abs(z))
+        h, two_h = _steps(z)
         fx_p, fy_p = self.jet1(z + h)
         fx_m, fy_m = self.jet1(z - h)
         fx_u, fy_u = self.jet1(z + 1j * h)
         fx_d, fy_d = self.jet1(z - 1j * h)
-        fxx = (np.asarray(fx_p) - np.asarray(fx_m)) / (2.0 * h)
-        fxy = (np.asarray(fx_u) - np.asarray(fx_d)) / (2.0 * h)
-        fyy = (np.asarray(fy_u) - np.asarray(fy_d)) / (2.0 * h)
+        fxx = (np.asarray(fx_p) - np.asarray(fx_m)) / two_h
+        fxy = (np.asarray(fx_u) - np.asarray(fx_d)) / two_h
+        fyy = (np.asarray(fy_u) - np.asarray(fy_d)) / two_h
         return fxx, fxy, fyy
 
-    def near_branch(self, z: complex) -> bool:
-        return any(abs(z - b) < self.branch_clearance for b in self.branch_points)
+    def near_branch(self, z):
+        """Whether each parameter lies within the clearance of a branch point."""
+        gap = np.abs(np.subtract.outer(z, np.array(self.branch_points, dtype=complex)))
+        return np.any(gap < self.branch_clearance, axis=-1)
 
     def grid(self, rings: int = 8, spokes: int = 16, fill: float = 0.95) -> np.ndarray:
         """Deterministic polar lattice of parameter samples inside the disc."""
@@ -87,7 +95,18 @@ class ConformalMap:
         th = 2.0 * np.pi * np.arange(spokes) / spokes
         zz = (rr[:, None] * np.exp(1j * th)[None, :]).ravel() + self.center
         pts = np.concatenate([[self.center], zz])
-        return np.array([z for z in pts if not self.near_branch(z)])
+        return pts[~self.near_branch(pts)]
+
+
+def _steps(z):
+    """The difference step at each parameter, and twice it on a trailing axis."""
+    h = JET_STEP * (1.0 + np.abs(np.asarray(z)))
+    return h, 2.0 * np.asarray(h)[..., None]
+
+
+def _stack(*components):
+    """Components broadcast against each other, stacked on a last axis."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
 def affine_disc(p, u, w, radius: float = 1.0, name: str = "affine") -> ConformalMap:
@@ -102,11 +121,12 @@ def affine_disc(p, u, w, radius: float = 1.0, name: str = "affine") -> Conformal
         return p + np.multiply.outer(z.real, u) + np.multiply.outer(z.imag, w)
 
     def jet1(z):
-        return u.copy(), w.copy()
+        shape = np.shape(z) + u.shape
+        return np.broadcast_to(u, shape), np.broadcast_to(w, shape)
 
     def jet2(z):
-        zero = np.zeros_like(u)
-        return zero, zero.copy(), zero.copy()
+        zero = np.zeros(np.shape(z) + u.shape)
+        return zero, zero, zero
 
     return ConformalMap(name, f, jet1, jet2, radius=radius)
 
@@ -119,20 +139,18 @@ def catenoid_map(scale: float = 1.0, shift=(0.0, 0.0, 0.0), radius: float = 1.0)
     def f(z):
         z = np.asarray(z, dtype=complex)
         u, v = z.real, z.imag
-        return shift + s * np.stack(
-            [np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), u], axis=-1
-        )
+        return shift + s * _stack(np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), u)
 
     def jet1(z):
         u, v = z.real, z.imag
-        fx = s * np.array([np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), 1.0])
-        fy = s * np.array([-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0])
+        fx = s * _stack(np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), 1.0)
+        fy = s * _stack(-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0)
         return fx, fy
 
     def jet2(z):
         u, v = z.real, z.imag
-        fxx = s * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), 0.0])
-        fxy = s * np.array([-np.sinh(u) * np.sin(v), np.sinh(u) * np.cos(v), 0.0])
+        fxx = s * _stack(np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), 0.0)
+        fxy = s * _stack(-np.sinh(u) * np.sin(v), np.sinh(u) * np.cos(v), 0.0)
         fyy = -fxx
         return fxx, fxy, fyy
 
@@ -147,20 +165,18 @@ def helicoid_map(scale: float = 1.0, shift=(0.0, 0.0, 0.0), radius: float = 1.0)
     def f(z):
         z = np.asarray(z, dtype=complex)
         u, v = z.real, z.imag
-        return shift + s * np.stack(
-            [np.sinh(u) * np.sin(v), -np.sinh(u) * np.cos(v), -v], axis=-1
-        )
+        return shift + s * _stack(np.sinh(u) * np.sin(v), -np.sinh(u) * np.cos(v), -v)
 
     def jet1(z):
         u, v = z.real, z.imag
-        fx = s * np.array([np.cosh(u) * np.sin(v), -np.cosh(u) * np.cos(v), 0.0])
-        fy = s * np.array([np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), -1.0])
+        fx = s * _stack(np.cosh(u) * np.sin(v), -np.cosh(u) * np.cos(v), 0.0)
+        fy = s * _stack(np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), -1.0)
         return fx, fy
 
     def jet2(z):
         u, v = z.real, z.imag
-        fxx = s * np.array([np.sinh(u) * np.sin(v), -np.sinh(u) * np.cos(v), 0.0])
-        fxy = s * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), 0.0])
+        fxx = s * _stack(np.sinh(u) * np.sin(v), -np.sinh(u) * np.cos(v), 0.0)
+        fxy = s * _stack(np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), 0.0)
         fyy = -fxx
         return fxx, fxy, fyy
 
@@ -175,26 +191,21 @@ def enneper_map(scale: float = 1.0, shift=(0.0, 0.0, 0.0), radius: float = 0.8) 
     def f(z):
         z = np.asarray(z, dtype=complex)
         u, v = z.real, z.imag
-        return shift + s * np.stack(
-            [
-                u - u**3 / 3.0 + u * v**2,
-                -v + v**3 / 3.0 - v * u**2,
-                u**2 - v**2,
-            ],
-            axis=-1,
+        return shift + s * _stack(
+            u - u**3 / 3.0 + u * v**2, -v + v**3 / 3.0 - v * u**2, u**2 - v**2
         )
 
     def jet1(z):
         u, v = z.real, z.imag
-        fx = s * np.array([1.0 - u * u + v * v, -2.0 * u * v, 2.0 * u])
-        fy = s * np.array([2.0 * u * v, -1.0 + v * v - u * u, -2.0 * v])
+        fx = s * _stack(1.0 - u * u + v * v, -2.0 * u * v, 2.0 * u)
+        fy = s * _stack(2.0 * u * v, -1.0 + v * v - u * u, -2.0 * v)
         return fx, fy
 
     def jet2(z):
         u, v = z.real, z.imag
-        fxx = s * np.array([-2.0 * u, -2.0 * v, 2.0])
-        fxy = s * np.array([2.0 * v, -2.0 * u, 0.0])
-        fyy = s * np.array([2.0 * u, 2.0 * v, -2.0])
+        fxx = s * _stack(-2.0 * u, -2.0 * v, 2.0)
+        fxy = s * _stack(2.0 * v, -2.0 * u, 0.0)
+        fyy = s * _stack(2.0 * u, 2.0 * v, -2.0)
         return fxx, fxy, fyy
 
     return ConformalMap("enneper-chart", f, jet1, jet2, radius=radius)
@@ -220,16 +231,11 @@ class WeierstrassEntry:
 
     def phi(self, z):
         z = np.asarray(z, dtype=complex)
-        gz = self.g(z)
-        dhz = self.dh(z)
-        return np.stack(
-            [
-                0.5 * (1.0 / gz - gz) * dhz,
-                0.5j * (1.0 / gz + gz) * dhz,
-                dhz,
-            ],
-            axis=-1,
-        )
+        # one parameter takes the array loops a batch takes, not scalar math
+        gz, dhz = self.g(z.reshape(-1)), self.dh(z.reshape(-1))
+        return _stack(
+            0.5 * (1.0 / gz - gz) * dhz, 0.5j * (1.0 / gz + gz) * dhz, dhz
+        ).reshape(z.shape + (3,))
 
 
 def weierstrass_map(
@@ -247,51 +253,35 @@ def weierstrass_map(
     shift = np.asarray(shift, dtype=float)
     s = float(scale)
 
-    def integrate(z: complex) -> np.ndarray:
-        z0 = entry.base_point
-        length = abs(z - z0)
-        if length == 0.0:
-            return entry.base_value.copy()
-        n = max(16, int(np.ceil(entry.nodes_per_unit * length)))
-        nodes, weights = np.polynomial.legendre.leggauss(min(n, 200))
-        t = 0.5 * (nodes + 1.0)
-        zt = z0 + t * (z - z0)
-        vals = entry.phi(zt)  # (N, 3) complex
-        integral = 0.5 * (z - z0) * np.einsum("k,kj->j", weights, vals)
-        return entry.base_value + integral.real
-
     def f(z):
         z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            return shift + s * integrate(complex(z))
-        flat = z.ravel()
-        out = np.stack([integrate(complex(w)) for w in flat])
+        dz = z.ravel() - entry.base_point
+        length = np.abs(dz)
+        nodes = np.minimum(np.maximum(16, np.ceil(entry.nodes_per_unit * length)), 200)
+        nodes[length == 0.0] = 0
+        out = np.tile(entry.base_value, (dz.size, 1))
+        # one Gauss-Legendre rule per node count, shared by its segments
+        for n in np.unique(nodes[nodes > 0]):
+            rows = np.flatnonzero(nodes == n)
+            x, weights = np.polynomial.legendre.leggauss(int(n))
+            step = dz[rows, None]
+            vals = entry.phi(entry.base_point + 0.5 * (x + 1.0) * step)  # (G, N, 3)
+            integral = 0.5 * step * np.einsum("k,gkj->gj", weights, vals)
+            out[rows] = entry.base_value + integral.real
         return shift + s * out.reshape(z.shape + (3,))
 
     def jet1(z):
-        phi = entry.phi(np.asarray(z, dtype=complex))
+        phi = entry.phi(z)
         return s * phi.real, -s * phi.imag
 
     def jet2(z):
-        h = JET_STEP * (1.0 + abs(z))
-        phi_xp = entry.phi(np.asarray(z + h, dtype=complex))
-        phi_xm = entry.phi(np.asarray(z - h, dtype=complex))
-        phi_yp = entry.phi(np.asarray(z + 1j * h, dtype=complex))
-        phi_ym = entry.phi(np.asarray(z - 1j * h, dtype=complex))
-        fxx = s * (phi_xp - phi_xm).real / (2.0 * h)
-        fxy = s * (phi_yp - phi_ym).real / (2.0 * h)
-        fyy = s * -(phi_yp - phi_ym).imag / (2.0 * h)
-        return fxx, fxy, fyy
+        h, two_h = _steps(z)
+        dx = entry.phi(z + h) - entry.phi(z - h)
+        dy = entry.phi(z + 1j * h) - entry.phi(z - 1j * h)
+        return s * dx.real / two_h, s * dy.real / two_h, s * -dy.imag / two_h
 
-    return ConformalMap(
-        f"weierstrass-{entry.name}",
-        f,
-        jet1,
-        jet2,
-        center=center,
-        radius=radius,
-        branch_points=entry.branch_points,
-    )
+    return ConformalMap(f"weierstrass-{entry.name}", f, jet1, jet2, center=center,
+                        radius=radius, branch_points=entry.branch_points)
 
 
 def weierstrass_catenoid() -> WeierstrassEntry:
@@ -343,43 +333,43 @@ WEIERSTRASS_DATA = {
 
 def conformality_residual(cm: ConformalMap, z: complex):
     """The pair (f_x . f_y, |f_x|^2 - |f_y|^2); both vanish for conformal maps."""
-    fx, fy = cm.jet1(z)
-    fx = np.asarray(fx, dtype=float)
-    fy = np.asarray(fy, dtype=float)
+    fx, fy = (np.asarray(j, dtype=float) for j in cm.jet1(z))
     return float(fx @ fy), float(fx @ fx - fy @ fy)
 
 
-def harmonicity_residual(cm: ConformalMap, z: complex) -> np.ndarray:
-    """The parameter Laplacian f_xx + f_yy, componentwise."""
+def harmonicity_residual(cm: ConformalMap, z) -> np.ndarray:
+    """The parameter Laplacian f_xx + f_yy, componentwise, shape S + (n,)."""
     fxx, _, fyy = cm.jet2(z)
     return np.asarray(fxx, dtype=float) + np.asarray(fyy, dtype=float)
 
 
-def composition_laplacian(
-    field,
-    cm: ConformalMap,
-    z: complex,
-    harmonic_tol: float = 1e-6,
-) -> float:
-    """Laplacian of (field o map) at z for a harmonic map.
+def composition_laplacian(field, cm: ConformalMap, z, harmonic_tol: float = 1e-6):
+    """Laplacian of (field o map) at parameters z of a harmonic map.
 
     Equals ``Hess[f_x, f_x] + Hess[f_y, f_y]``: the gradient term drops by
-    harmonicity, which is checked against ``harmonic_tol``. At immersion
-    points this is ``|f_x|^2`` times the Hessian trace over the tangent
-    plane of the parametrized surface.
+    harmonicity, which is checked against ``harmonic_tol``; the first
+    parameter that fails raises :class:`NonHarmonicMapError` naming it. At
+    immersion points this is ``|f_x|^2`` times the Hessian trace over the
+    tangent plane of the parametrized surface.
+
+    ``z`` is one parameter (the result is a float) or an array of shape S
+    (the result has shape S); the Hessians come from one
+    :func:`mpsh.hessian_stack` call.
     """
-    fx, fy = cm.jet1(z)
-    fx = np.asarray(fx, dtype=float)
-    fy = np.asarray(fy, dtype=float)
-    resid = harmonicity_residual(cm, z)
-    scale = max(1.0, float(fx @ fx + fy @ fy))
-    if float(np.linalg.norm(resid)) > harmonic_tol * scale:
+    zz = np.asarray(z, dtype=complex)
+    flat = zz.reshape(-1)
+    fx, fy = (np.asarray(j, dtype=float) for j in cm.jet1(flat))
+    resid = harmonicity_residual(cm, flat)
+    scale = np.maximum(1.0, np.sum(fx * fx + fy * fy, axis=-1))
+    bad = np.linalg.norm(resid, axis=-1) > harmonic_tol * scale
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise NonHarmonicMapError(
-            f"map {cm.name!r} has Laplacian {resid.tolist()} at {z}"
+            f"map {cm.name!r} has Laplacian {resid[i].tolist()} at {complex(flat[i])}"
         )
-    x = np.asarray(cm.f(z), dtype=float)
-    h = np.asarray(field.hessian(x), dtype=float)
-    return float(fx @ h @ fx + fy @ h @ fy)
+    h = mpsh.hessian_stack(field, cm.f(flat))
+    lap = (fx[:, None] @ h @ fx[..., None] + fy[:, None] @ h @ fy[..., None])[:, 0, 0]
+    return float(lap[0]) if zz.ndim == 0 else lap.reshape(zz.shape)
 
 
 @dataclass(frozen=True)
@@ -413,30 +403,23 @@ def subharmonicity_sweep(
     region; a sample outside aborts the sweep.
     """
     zz = cm.grid() if grid is None else np.asarray(grid)
-    best = np.inf
-    argmin = complex(zz[0]) if len(zz) else 0.0
-    violations = 0
-    rho_min, rho_max = np.inf, -np.inf
-    for z in zz:
-        z = complex(z)
-        if inside is not None and not inside(np.asarray(cm.f(z), dtype=float)):
+    images = np.asarray(cm.f(zz), dtype=float)
+    if inside is not None:
+        kept = np.fromiter(map(inside, images), dtype=bool, count=len(images))
+        if not kept.all():
             raise ValueError(
-                f"map {cm.name!r} leaves the field's region at parameter {z}"
+                f"map {cm.name!r} leaves the field's region at parameter "
+                f"{complex(zz[np.argmin(kept)])}"
             )
-        lap = composition_laplacian(field, cm, z)
-        val = float(field.value(np.asarray(cm.f(z), dtype=float)))
-        rho_min = min(rho_min, val)
-        rho_max = max(rho_max, val)
-        if lap < best:
-            best, argmin = lap, z
-        if lap < -tol:
-            violations += 1
+    lap = composition_laplacian(field, cm, zz)
+    values = field.value_batch(images)
+    worst = int(np.argmin(lap))
     return SweepReport(
         map_name=cm.name,
         total=len(zz),
-        min_laplacian=float(best),
-        argmin=argmin,
-        violations=violations,
-        rho_min=float(rho_min),
-        rho_max=float(rho_max),
+        min_laplacian=float(lap[worst]),
+        argmin=complex(zz[worst]),
+        violations=int(np.count_nonzero(lap < -tol)),
+        rho_min=float(np.min(values)),
+        rho_max=float(np.max(values)),
     )

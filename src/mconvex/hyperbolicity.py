@@ -424,6 +424,10 @@ def full_plane() -> OmegaD:
     return OmegaD(membership=lambda x, y: True, name="full-plane-slice")
 
 
+# the slices a config can name
+SLICES = {"disc": planar_disc, "punctured-plane": punctured_plane, "plane": full_plane}
+
+
 def poincare_distance(z: complex, w: complex) -> float:
     """Distance on the unit disc in the normalization where the extremal
     flat disc through the ball center realizes the Klein distance."""

@@ -91,6 +91,10 @@ class ScalarField:
     def value(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
 
+    def value_batch(self, points) -> np.ndarray:
+        """Values at B points (B, n), shape (B,)."""
+        return np.array([self.value(x) for x in np.atleast_2d(points)])
+
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._grad is not None:
@@ -126,12 +130,11 @@ def is_m_psh_at(
 ) -> PshVerdict:
     """Classify a point by the sum of the m smallest Hessian eigenvalues.
 
-    ``field`` must expose ``hessian(x)``; callables are treated as scalar
-    fields and differenced. The margin decides the verdict against the
-    scale-aware tolerance band.
+    ``field`` is anything :func:`hessian_stack` takes. The margin decides
+    the verdict against the scale-aware tolerance band.
     """
     x = np.asarray(x, dtype=float)
-    h = _hessian_of(field, x)
+    h = hessian_stack(field, x)[0]
     use_tol = default_margin_tol(h) if tol is None else float(tol)
     eig = numkit.sym_eigen(h)
     margin = float(sum_smallest(eig.eigenvalues, m))
@@ -145,10 +148,25 @@ def is_m_psh_at(
     return PshVerdict(point=x, margin=margin, verdict=verdict, worst_plane=worst)
 
 
-def _hessian_of(field, x: np.ndarray) -> np.ndarray:
-    if hasattr(field, "hessian"):
-        return np.asarray(field.hessian(x), dtype=float)
-    return numkit.hessian_fd(field, x)
+def hessian_stack(field, points: np.ndarray) -> np.ndarray:
+    """Hessians of a field at B points (B, n), shape (B, n, n).
+
+    A field with batched ``jets`` (a ``BarrierFunction``) takes one call. A
+    ``ScalarField``, or any field exposing ``hessian(x)``, is queried row by
+    row, and a plain callable is differenced; a failing row raises
+    ``RuntimeError`` naming the sample.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if hasattr(field, "jets"):
+        return field.jets(points).hessian
+    hessian = getattr(field, "hessian", None) or (lambda x: numkit.hessian_fd(field, x))
+    rows = []
+    for row in points:
+        try:
+            rows.append(np.asarray(hessian(row), dtype=float))
+        except Exception as exc:
+            raise RuntimeError(f"verdict failed at sample {row.tolist()}: {exc}") from exc
+    return np.asarray(rows)
 
 
 @dataclass(frozen=True)
@@ -179,21 +197,13 @@ def grid_verdict(
     """Run the pointwise verdict over a grid of sample points.
 
     ``hessians`` may be precomputed, shape (B, n, n) for B points; otherwise
-    the field is queried per point. All margins come from one batched eigen
-    solve. Any evaluation failure aborts with the offending sample in the
-    exception message; ties for the worst margin go to the first sample.
+    :func:`hessian_stack` evaluates them. All margins come from one batched
+    eigen solve. Any evaluation failure aborts with the offending sample in
+    the exception message; ties for the worst margin go to the first sample.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if hessians is None:
-        rows = []
-        for row in points:
-            try:
-                rows.append(_hessian_of(field, row))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"verdict failed at sample {row.tolist()}: {exc}"
-                ) from exc
-        hessians = rows
+        hessians = hessian_stack(field, points)
     try:
         eig = numkit.sym_eigen(np.asarray(hessians, dtype=float))
     except (numkit.AsymmetricMatrixError, numkit.NonFiniteMatrixError) as exc:

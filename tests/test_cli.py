@@ -58,6 +58,8 @@ SCHEMA_VIOLATIONS = [
     ("barrier", with_section(BARRIER_CFG, "domain", half_width=2.0), {}, "domain.half_width"),
     ("barrier", with_section(BARRIER_CFG, "barrier", ratios=["a", "b", "c"]), {},
      "barrier.ratios[0]"),
+    ("barrier", with_section(BARRIER_CFG, "barrier", ratios=[0.9, 0.3, 0.6]), {},
+     "barrier.ratios"),
     ("barrier", with_section(BARRIER_CFG, "barrier", cap_degree=4), {}, "barrier.cap_degree"),
     ("curvature", {"domain": {"name": "catenoid"}, "curvature": {"m": 5}}, {}, "curvature.m"),
     ("barrier", with_section(BARRIER_CFG, "barrier", m=3), {}, "barrier.m"),
@@ -90,6 +92,15 @@ def test_schema_violation_exits_2_naming_path(tmp_path, monkeypatch, capsys, kin
     out = tmp_path / "report.jsonl"
     assert cli.main([kind, "--config", write_cfg(tmp_path, data), "--out", str(out)]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_yaml_syntax_error_exits_2_naming_file(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("kind: barrier\ndomain: {name: sphere}\nbarrier: {m: 2\n")
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["barrier", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {path}: not valid YAML" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,16 +2,21 @@
 
 The reference functions below are the earlier per-point implementations,
 kept verbatim as oracles: a cyclic Jacobi eigensolver, the shape-operator
-loop of ``principal_curvatures``, and the scalar barrier jets. Every kernel
-row must match its reference within 1e-12 * (1 + |reference|).
+loop of ``principal_curvatures``, the scalar barrier jets, the per-segment
+Weierstrass integration, and the per-point composed Laplacian and
+subharmonicity sweep. Every kernel row must match its reference within
+1e-12 * (1 + |reference|); the sweep and the integration must match exactly.
 """
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
 
-from mconvex import barrier, mpsh, numkit, surfaces, tubular
+import mconvex
+from mconvex import barrier, cli, discs, mpsh, numkit, surfaces, tubular
 
 
 def assert_close(actual, reference):
@@ -302,3 +307,162 @@ def test_sum_smallest_batched():
     for m in (0, 4):
         with pytest.raises(ValueError, match="m must be in"):
             mpsh.sum_smallest(spectra, m)
+
+
+# ---------------------------------------------------------------------------
+# composed Laplacian and the subharmonicity sweep
+
+
+def ref_integrate(entry, z):
+    z0 = entry.base_point
+    length = abs(z - z0)
+    if length == 0.0:
+        return entry.base_value.copy()
+    n = max(16, int(np.ceil(entry.nodes_per_unit * length)))
+    nodes, weights = np.polynomial.legendre.leggauss(min(n, 200))
+    t = 0.5 * (nodes + 1.0)
+    zt = z0 + t * (z - z0)
+    vals = entry.phi(zt)
+    integral = 0.5 * (z - z0) * np.einsum("k,kj->j", weights, vals)
+    return entry.base_value + integral.real
+
+
+def ref_composition_laplacian(field, cm, z, harmonic_tol=1e-6):
+    fx, fy = cm.jet1(z)
+    fx = np.asarray(fx, dtype=float)
+    fy = np.asarray(fy, dtype=float)
+    resid = discs.harmonicity_residual(cm, z)
+    scale = max(1.0, float(fx @ fx + fy @ fy))
+    if float(np.linalg.norm(resid)) > harmonic_tol * scale:
+        raise discs.NonHarmonicMapError(
+            f"map {cm.name!r} has Laplacian {resid.tolist()} at {z}"
+        )
+    x = np.asarray(cm.f(z), dtype=float)
+    h = np.asarray(field.hessian(x), dtype=float)
+    return float(fx @ h @ fx + fy @ h @ fy)
+
+
+def ref_subharmonicity_sweep(field, cm, grid=None, tol=1e-8):
+    zz = cm.grid() if grid is None else np.asarray(grid)
+    best = np.inf
+    argmin = complex(zz[0]) if len(zz) else 0.0
+    violations = 0
+    rho_min, rho_max = np.inf, -np.inf
+    for z in zz:
+        z = complex(z)
+        lap = ref_composition_laplacian(field, cm, z)
+        val = float(field.value(np.asarray(cm.f(z), dtype=float)))
+        rho_min = min(rho_min, val)
+        rho_max = max(rho_max, val)
+        if lap < best:
+            best, argmin = lap, z
+        if lap < -tol:
+            violations += 1
+    return discs.SweepReport(
+        map_name=cm.name,
+        total=len(zz),
+        min_laplacian=float(best),
+        argmin=argmin,
+        violations=violations,
+        rho_min=float(rho_min),
+        rho_max=float(rho_max),
+    )
+
+
+SWEEP_BARRIERS = {"sphere": 1.0, "slab": 1.0, "catenoid": 0.78}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_BARRIERS))
+def test_sweep_matches_per_point_reference(name):
+    bf = barrier.build_barrier(surfaces.make_domain(name), m=2, eps=SWEEP_BARRIERS[name])
+    for cm in cli.default_test_maps(name):
+        assert discs.subharmonicity_sweep(bf, cm) == ref_subharmonicity_sweep(bf, cm), cm.name
+    neg = mpsh.ScalarField(lambda x: -float(x @ x), hess=lambda x: -2.0 * np.eye(3))
+    cm = cli.default_test_maps(name)[0]
+    flagged = discs.subharmonicity_sweep(neg, cm)
+    assert flagged == ref_subharmonicity_sweep(neg, cm)
+    assert flagged.violations > 0
+
+
+def all_map_types():
+    maps = [m for name in SWEEP_BARRIERS for m in cli.default_test_maps(name)]
+    maps.append(discs.weierstrass_map(discs.weierstrass_enneper(), scale=0.2, radius=0.6))
+    # no jets given: both come from centered differences
+    maps.append(discs.ConformalMap("differenced-catenoid", discs.catenoid_map(scale=0.4).f))
+    return maps
+
+
+def test_array_jets_match_per_point_calls():
+    for cm in all_map_types():
+        zz = cm.grid(rings=3, spokes=5)[:14].reshape(2, 7)
+        arrays = (cm.f(zz),) + tuple(cm.jet1(zz)) + tuple(cm.jet2(zz))
+        for idx in np.ndindex(zz.shape):
+            z = complex(zz[idx])
+            single = (cm.f(z),) + tuple(cm.jet1(z)) + tuple(cm.jet2(z))
+            for a, s in zip(arrays, single):
+                assert np.shape(s) == (3,) and np.shape(a) == zz.shape + (3,), cm.name
+                assert np.array_equal(a[idx], s), (cm.name, z)
+        lap = discs.composition_laplacian(mpsh.ScalarField(np.sum, hess=np.diag), cm, zz)
+        assert lap.shape == zz.shape
+
+
+def test_grouped_integration_matches_per_segment_rule():
+    for cm in all_map_types():
+        if not cm.name.startswith("weierstrass-"):
+            continue
+        entry = discs.WEIERSTRASS_DATA[cm.name]()
+        zz = np.append(cm.grid(), entry.base_point)  # one zero-length segment
+        ref = np.stack([ref_integrate(entry, complex(z)) for z in zz])
+        lifted = discs.weierstrass_map(entry).f(zz)
+        assert np.array_equal(lifted, ref), cm.name
+
+
+def test_nonharmonic_batch_names_first_bad_parameter():
+    def kinked(z):
+        u = np.asarray(z).real
+        bump = np.where(u > 0.2, u * u, 0.0)
+        return np.stack([bump, np.zeros_like(u), np.zeros_like(u)], axis=-1)
+
+    cm = discs.ConformalMap("kinked", kinked)
+    zz = np.array([0.0, 0.1 + 0.1j, 0.5j, 0.3, 0.4 - 0.1j])
+    field = mpsh.ScalarField(lambda x: float(x @ x), hess=lambda x: 2.0 * np.eye(3))
+    with pytest.raises(discs.NonHarmonicMapError, match=r"at \(0\.3\+0j\)$"):
+        discs.composition_laplacian(field, cm, zz)
+    assert np.array_equal(discs.composition_laplacian(field, cm, zz[:3]), np.zeros(3))
+
+
+def test_sweep_on_barrier_takes_one_jets_call():
+    bf = barrier.build_barrier(surfaces.sphere(), m=2, eps=1.0)
+    calls = []
+
+    def jets(points):
+        calls.append(len(points))
+        return barrier.BarrierFunction.jets(bf, points)
+
+    def refuse(x):
+        raise AssertionError("per-point barrier call")
+
+    bf.jets, bf.hessian, bf.value = jets, refuse, refuse
+    cm = cli.default_test_maps("sphere")[3]
+    rep = discs.subharmonicity_sweep(bf, cm)
+    assert calls == [rep.total] and rep.total == len(cm.grid())
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark traces
+
+
+def test_traced_names_resolve_on_the_package():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name, _ in spans.FUNCTIONS:
+        assert callable(getattr(getattr(mconvex, module), name)), f"{module}.{name}"
+    for name, _ in spans.BARRIER_METHODS:
+        assert callable(getattr(barrier.BarrierFunction, name)), f"BarrierFunction.{name}"
+    domain = surfaces.make_domain("catenoid")
+    assert callable(tubular.project_batch)
+    for name in spans.DOMAIN_FIELDS:
+        assert callable(getattr(domain, name)), f"surfaces.{name}"
