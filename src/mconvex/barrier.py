@@ -21,7 +21,7 @@ import numpy as np
 
 from . import mpsh, numkit, surfaces, tubular
 from .surfaces import ImplicitDomain
-from .tubular import ProjectionSettings, TubularCollar
+from .tubular import TubularCollar
 
 
 class MConvexityError(ValueError):
@@ -98,8 +98,6 @@ def choose_collar(
     eps: float,
     safety: float = 0.99,
     ratios: tuple = (0.9, 0.6, 0.3),
-    starts: int = 16,
-    tol: float = 1e-10,
 ) -> TubularCollar:
     """Nested collar radii inside the band where the profile convexity wins.
 
@@ -118,9 +116,7 @@ def choose_collar(
     eps0 = r0 * eps0p
     eps2 = r2 * eps0
     eps1 = r1 * eps0
-    return TubularCollar(
-        reach=eps, eps0p=eps0p, eps0=eps0, eps2=eps2, eps1=eps1, starts=starts, tol=tol
-    )
+    return TubularCollar(reach=eps, eps0p=eps0p, eps0=eps0, eps2=eps2, eps1=eps1)
 
 
 def _cap_polynomials(chi1: np.ndarray) -> tuple:
@@ -204,22 +200,6 @@ def make_cap(collar: TubularCollar, profile: ConvexProfile, degree: int = 3) -> 
     return cap
 
 
-def rho0(
-    domain: ImplicitDomain,
-    collar: TubularCollar,
-    profile: ConvexProfile,
-    x: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
-) -> float:
-    """Profiled distance on the collar, constant plateau deeper inside.
-
-    Equals the maximum of the profiled distance and the plateau value, so it
-    stays continuous across the seam.
-    """
-    res = tubular.signed_distance(domain, np.asarray(x, dtype=float), settings)
-    return float(profile.value(max(res.distance, -collar.eps0)))
-
-
 @dataclass(frozen=True)
 class BarrierJets:
     """First and second jets of the defining function at B points in R^n.
@@ -248,15 +228,11 @@ class BarrierFunction:
         collar: TubularCollar,
         profile: ConvexProfile,
         cap: SmoothingCap,
-        settings: Optional[ProjectionSettings] = None,
     ):
         self.domain = domain
         self.collar = collar
         self.profile = profile
         self.cap = cap
-        self.settings = settings or ProjectionSettings(
-            starts=collar.starts, tol=collar.tol
-        )
         self.scale = -1.0 / float(profile.value(-collar.eps1))
         if not self.scale > 0.0:
             raise ValueError("profile must be negative at -eps1")
@@ -270,10 +246,10 @@ class BarrierFunction:
         return self.scale * self.cap.plateau
 
     def delta(self, x: np.ndarray) -> float:
-        return tubular.signed_distance(self.domain, x, self.settings).distance
+        return tubular.signed_distance(self.domain, x).distance
 
     def delta_batch(self, points: np.ndarray) -> np.ndarray:
-        _, dlt, _ = tubular.project_batch(self.domain, points, self.settings)
+        _, dlt, _ = tubular.project_batch(self.domain, points)
         return dlt
 
     def value(self, x: np.ndarray) -> float:
@@ -318,9 +294,7 @@ class BarrierFunction:
         plateau ``delta <= -eps2`` get zero jets; one batched projection and
         frame solve serve the rest.
         """
-        jet = tubular.distance_jet(
-            self.domain, points, self.settings, floor=-self.collar.eps2
-        )
+        jet = tubular.distance_jet(self.domain, points, floor=-self.collar.eps2)
         a = jet.active
         nb, dim = jet.grad.shape
         gradient = np.zeros((nb, dim))
@@ -376,7 +350,6 @@ def build_barrier(
     cap_degree: int = 3,
     boundary_check_samples: int = 256,
     convexity_tol: float = 1e-9,
-    settings: Optional[ProjectionSettings] = None,
 ) -> BarrierFunction:
     """Assemble and precondition-check the defining function.
 
@@ -394,7 +367,7 @@ def build_barrier(
     profile = make_profile(a, m, eps)
     collar = choose_collar(profile, eps, safety=safety, ratios=tuple(ratios))
     cap = make_cap(collar, profile, degree=cap_degree)
-    return BarrierFunction(domain, collar, profile, cap, settings)
+    return BarrierFunction(domain, collar, profile, cap)
 
 
 @dataclass(frozen=True)
@@ -562,28 +535,22 @@ def verify_barrier(
 
 def _bisect_levels(bf: BarrierFunction, base: np.ndarray, levels, iters: int = 48):
     """Locate every level on every inner-normal ray by batched bisection."""
-    rays = []
-    targets = []
-    for t in levels:
-        for p in base:
-            g = np.asarray(bf.domain.grad(p), dtype=float)
-            rays.append((p, -g / np.linalg.norm(g), t))
-            targets.append(bf.level_delta(t))
-    if not rays:
+    base = np.asarray(base, dtype=float)
+    if not len(levels) or not len(base):
         return np.zeros((0, bf.domain.dim)), np.zeros(0)
-    origins = np.array([r[0] for r in rays])
-    inners = np.array([r[1] for r in rays])
-    tvals = np.array([r[2] for r in rays])
-    lo = np.zeros(len(rays))
-    hi = np.full(len(rays), bf.collar.eps1)
-    f_hi = bf.value_batch(origins + hi[:, None] * inners) - tvals
-    valid = f_hi < 0.0  # rho decreases into the domain, level is bracketed
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        vals = bf.value_batch(origins + mid[:, None] * inners) - tvals
-        above = vals > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+    g = bf.domain.grad(base)
+    # rays in level-major order, one per level and base point
+    origins = np.tile(base, (len(levels), 1))
+    inners = np.tile(-g / numkit.row_norms(g), (len(levels), 1))
+    tvals = np.repeat(np.asarray(levels, dtype=float), len(base))
+    targets = np.repeat([bf.level_delta(t) for t in levels], len(base))
+
+    def gap(s):
+        return bf.value_batch(origins + s[:, None] * inners) - tvals
+
+    hi = np.full(len(origins), bf.collar.eps1)
+    valid = gap(hi) < 0.0  # rho decreases into the domain, level is bracketed
+    lo, hi = tubular.bisect(lambda s: gap(s) > 0.0, np.zeros(len(origins)), hi, iters)
     s = 0.5 * (lo + hi)
     located = origins + s[:, None] * inners
-    return located[valid], np.array(targets)[valid]
+    return located[valid], targets[valid]

@@ -12,6 +12,7 @@ call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -238,6 +239,15 @@ class WeierstrassEntry:
         ).reshape(z.shape + (3,))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """Read-only nodes and weights of the n-point rule (n in [16, 200])."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def weierstrass_map(
     entry: WeierstrassEntry,
     scale: float = 1.0,
@@ -263,7 +273,7 @@ def weierstrass_map(
         # one Gauss-Legendre rule per node count, shared by its segments
         for n in np.unique(nodes[nodes > 0]):
             rows = np.flatnonzero(nodes == n)
-            x, weights = np.polynomial.legendre.leggauss(int(n))
+            x, weights = _gauss_legendre(int(n))
             step = dz[rows, None]
             vals = entry.phi(entry.base_point + 0.5 * (x + 1.0) * step)  # (G, N, 3)
             integral = 0.5 * step * np.einsum("k,gkj->gj", weights, vals)

@@ -106,19 +106,13 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int):
     return d, fd
 
 
-def _circle_margin(domain, center, u, w, radius, angles, refine=False):
-    """Max of phi over the boundary circle; golden-refined if asked."""
+def _circle_margin(domain, center, u, w, radius, angles):
+    """Max of phi over the boundary circle, golden-refined."""
     th = 2.0 * np.pi * np.arange(angles) / angles
-    pts = (
-        center[None, :]
-        + radius * np.cos(th)[:, None] * u[None, :]
-        + radius * np.sin(th)[:, None] * w[None, :]
-    )
+    pts = center + radius * np.cos(th)[:, None] * u + radius * np.sin(th)[:, None] * w
     vals = np.asarray(domain.phi(pts), dtype=float)
     k = int(np.argmax(vals))
     best = float(vals[k])
-    if not refine:
-        return best
     span = 2.0 * np.pi / angles
 
     def at(theta: float) -> float:
@@ -130,79 +124,95 @@ def _circle_margin(domain, center, u, w, radius, angles, refine=False):
 
 
 def _lattice_margin(domain, center, u, w, radius, radii, angles):
-    rr = radius * (np.arange(1, radii + 1) / radii)
+    rr = (radius * (np.arange(1, radii + 1) / radii))[:, None, None]
     th = 2.0 * np.pi * np.arange(angles) / angles
-    ct = np.cos(th)
-    st = np.sin(th)
-    pts = (
-        center[None, None, :]
-        + rr[:, None, None] * ct[None, :, None] * u[None, None, :]
-        + rr[:, None, None] * st[None, :, None] * w[None, None, :]
-    )
+    pts = center + rr * np.cos(th)[:, None] * u + rr * np.sin(th)[:, None] * w
     vals = np.asarray(domain.phi(pts.reshape(-1, center.size)), dtype=float)
     vals = np.append(vals, float(domain.phi(center)))
     return float(np.max(vals))
 
 
-def _circle_margins_many(domain, center, u, w, radii, angles):
-    """Boundary-circle maxima of phi for a whole vector of radii at once."""
-    radii = np.asarray(radii, dtype=float)
+def _circle_ring(u, w, angles):
+    """The (A, n) unit circle of the plane span(u, w) at A = angles equal steps."""
     th = 2.0 * np.pi * np.arange(angles) / angles
-    ring = np.cos(th)[:, None] * u[None, :] + np.sin(th)[:, None] * w[None, :]
-    pts = center[None, None, :] + radii[:, None, None] * ring[None, :, :]
-    vals = np.asarray(domain.phi(pts.reshape(-1, center.size)), dtype=float)
-    return vals.reshape(radii.size, angles).max(axis=1)
+    return np.cos(th)[:, None] * u + np.sin(th)[:, None] * w
 
 
-def _max_disc_radius(domain, center, u, w, spec, refine=False) -> float:
-    """Largest admissible radius for a flat disc at this center and plane.
+def _circle_margins_many(domain, tiled, ring, radii):
+    """Boundary-circle maxima of phi (B, R) for radii (B, R) about B centers,
+    tiled (B, A * n) as ``np.tile(centers, A)`` for the (A, n) unit ring."""
+    pts = tiled[:, None, :] + radii[:, :, None] * ring.reshape(-1)
+    vals = np.asarray(domain.phi(pts.reshape(-1, ring.shape[1])), dtype=float)
+    return vals.reshape(radii.shape + (-1,)).max(axis=-1)
 
-    Staged radius grids, each a single batched field evaluation; the refined
-    variant finishes with a golden-polished bisection for certification.
-    """
-    phi0 = float(domain.phi(center))
-    if phi0 > CONTAINMENT_MARGIN:
-        return 0.0
-    g = np.asarray(domain.grad(center), dtype=float)
-    # first-order clearance guess; the gradient can vanish at interior
-    # critical points of phi, so clamp to a unit-scale bracket seed
-    est = min(1.0, max(1e-6, abs(phi0) / max(1e-9, float(np.linalg.norm(g)))))
 
-    lo, hi = 0.0, None
-    r = est
-    for _ in range(60):
-        m = _circle_margins_many(domain, center, u, w, [r], spec.lattice_angles)[0]
-        if m > CONTAINMENT_MARGIN:
-            hi = r
+def _first_exit(domain, tiled, ring, radii, stop, chunk):
+    """Per row, the first column of radii whose circle leaves the domain or
+    where ``stop`` is set (R if none); ``chunk`` columns per field evaluation,
+    so a row's circles past its first exit chunk are never evaluated."""
+    first = np.full(len(radii), radii.shape[1])
+    left = np.arange(len(radii))
+    for k in range(0, radii.shape[1], chunk):
+        if left.size == 0:
             break
-        lo = r
-        r *= 1.8
-        if r > spec.radius_cap:
-            return spec.radius_cap
-    if hi is None:
-        return spec.radius_cap
+        hit = _circle_margins_many(domain, tiled[left], ring, radii[left, k:k + chunk])
+        hit = (hit > CONTAINMENT_MARGIN) | stop[left, k:k + chunk]
+        done = hit.any(axis=1)
+        first[left[done]] = k + np.argmax(hit[done], axis=1)
+        left = left[~done]
+    return first
 
+
+def _disc_radii(domain, centers, ring, spec):
+    """Largest admissible radii of flat discs at B centers in the plane of
+    the unit ring, with the top of each final bracket (NaN where the radius
+    is 0, outside the margin, or the cap): a growing radius brackets the
+    boundary and three 16-radius grids narrow the bracket, each step batched
+    over the centers; a row rounds exactly as a one-center search."""
+    radius, hi = np.zeros(len(centers)), np.full(len(centers), np.nan)
+    phi0 = np.asarray(domain.phi(centers), dtype=float)
+    rows = np.flatnonzero(~(phi0 > CONTAINMENT_MARGIN))
+    if rows.size == 0:
+        return radius, hi
+    radius[rows] = spec.radius_cap
+    g = numkit.row_norms(np.asarray(domain.grad(centers[rows]), dtype=float))[:, 0]
+    # radii est * 1.8^k (accumulate multiplies in order) from a first-order
+    # clearance guess clamped to a unit-scale seed, as the gradient can vanish
+    # at interior critical points (fmax and fmin pass over a NaN like max and
+    # min); the circle of est is always tried, a later radius past the cap ends
+    # the search at the cap
+    seq = np.full((rows.size, 60), 1.8)
+    seq[:, 0] = np.fmin(1.0, np.fmax(1e-6, np.abs(phi0[rows]) / np.fmax(1e-9, g)))
+    seq = np.multiply.accumulate(seq, axis=1)
+    capped = seq > spec.radius_cap
+    capped[:, 0] = False
+    tiled = np.tile(centers[rows], ring.shape[0])
+    f = _first_exit(domain, tiled, ring, seq, capped, 4)  # exits come early
+    keep = np.flatnonzero(f < 60)
+    keep = keep[~capped[keep, f[keep]]]
+    f, tiled, at = f[keep], tiled[keep], np.arange(keep.size)
+    top, lo = seq[keep, f], np.where(f > 0, seq[keep, f - 1], 0.0)
     for _ in range(3):
-        rr = np.linspace(lo, hi, 18)[1:-1]
-        margins = _circle_margins_many(domain, center, u, w, rr, spec.lattice_angles)
-        bad = margins > CONTAINMENT_MARGIN
-        if bad.any():
-            first = int(np.argmax(bad))
-            hi = rr[first]
-            if first > 0:
-                lo = rr[first - 1]
-        else:
-            lo = rr[-1]
+        # np.linspace(lo, top, 18)[1:-1], rounded alike (top - lo is never subnormal)
+        rr = np.arange(1.0, 17.0) * ((top - lo) / 17)[:, None] + lo[:, None]
+        f = _first_exit(domain, tiled, ring, rr, np.zeros(rr.shape, bool), 8)
+        top = np.where(f < 16, rr[at, np.minimum(f, 15)], top)
+        lo = np.where(f < 16, np.where(f > 0, rr[at, f - 1], lo), rr[:, -1])
+    radius[rows[keep]], hi[rows[keep]] = lo, top
+    return radius, hi
 
-    if not refine:
+
+def _certified_disc_radius(domain, center, u, w, spec) -> float:
+    """The radius of ``_disc_radii`` at one center, finished by a bisection
+    on golden-refined circle maxima for certification."""
+    ring = _circle_ring(u, w, spec.lattice_angles)
+    radius, top = _disc_radii(domain, center[None, :], ring, spec)
+    lo, hi = float(radius[0]), float(top[0])
+    if math.isnan(hi):
         return lo
-
-    def refined(radius: float) -> float:
-        return _circle_margin(domain, center, u, w, radius, spec.lattice_angles, True)
-
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if refined(mid) <= CONTAINMENT_MARGIN:
+        if _circle_margin(domain, center, u, w, mid, spec.lattice_angles) <= CONTAINMENT_MARGIN:
             lo = mid
         else:
             hi = mid
@@ -239,9 +249,10 @@ def metric_upper_bound(
     comp = numkit.orthonormal_complement(vhat)
     rng = np.random.default_rng(spec.seed)
 
-    def orientation(theta: float, pair) -> np.ndarray:
-        e, f = pair
-        return math.cos(theta) * e + math.sin(theta) * f
+    def plane(theta: float, pair):
+        """The disc plane's second spanning vector at theta and its unit circle."""
+        w = math.cos(theta) * pair[0] + math.sin(theta) * pair[1]
+        return w, _circle_ring(vhat, w, spec.lattice_angles)
 
     pairs = [(comp[0], comp[1])]
     if n > 3:
@@ -255,44 +266,51 @@ def metric_upper_bound(
             second /= np.linalg.norm(second)
             pairs.append((raw, second))
 
-    def evaluate(theta: float, s1: float, s2: float, pair, refine=False):
-        w = orientation(theta, pair)
-        q = p + s1 * vhat + s2 * w
-        a = math.hypot(s1, s2)
-        radius = _max_disc_radius(domain, q, vhat, w, spec, refine)
-        if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
-            return -np.inf, None, a
-        r_eff = (radius * radius - a * a) / radius
-        return r_eff, DiscWitness(center=q, radius=radius, u=vhat, w=w), a
+    def evaluate(plane, offsets, refine=False):
+        """(1/bound, witness, |offset|) at each in-plane offset, unrefined in one batch."""
+        w, ring = plane
+        s = np.asarray(offsets, dtype=float)
+        q = p + s[:, :1] * vhat + s[:, 1:] * w
+        if refine:
+            radii = [_certified_disc_radius(domain, c, vhat, w, spec) for c in q]
+        else:
+            radii = _disc_radii(domain, q, ring, spec)[0]
+        out = []
+        for (s1, s2), center, radius in zip(offsets, q, radii):
+            a = math.hypot(s1, s2)
+            if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
+                out.append((-np.inf, None, a))
+            else:
+                wit = DiscWitness(center=center, radius=radius, u=vhat, w=w)
+                out.append(((radius * radius - a * a) / radius, wit, a))
+        return out
 
     def offset_search(theta: float, pair, s0=(0.0, 0.0), coarse=True):
         """Pattern search for the best in-plane center offset."""
         s1, s2 = s0
-        r, wit, _ = evaluate(theta, s1, s2, pair)
+        at = plane(theta, pair)
+        r, wit, a = evaluate(at, [(s1, s2)])[0]
         if not np.isfinite(r):
             return -np.inf, None, (s1, s2)
         step = 0.25 * (wit.radius if wit else 1.0)
         floor = 1e-4 * max(1.0, wit.radius if wit else 1.0)
         if coarse:
             floor = 10.0 * floor
-        dirs = [
-            (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-            (0.7071067811865476, 0.7071067811865476),
-            (0.7071067811865476, -0.7071067811865476),
-            (-0.7071067811865476, 0.7071067811865476),
-            (-0.7071067811865476, -0.7071067811865476),
-        ]
+        h = 0.7071067811865476
+        dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        dirs += [(h, h), (h, -h), (-h, h), (-h, -h)]
+        seen = {(s1, s2): (r, wit, a)}  # the search often steps back to an offset
         while step > floor:
-            improved = False
-            for dx, dy in dirs:
-                cand, wit_c, _ = evaluate(theta, s1 + step * dx, s2 + step * dy, pair)
-                if cand > r:
-                    r, wit = cand, wit_c
-                    s1, s2 = s1 + step * dx, s2 + step * dy
-                    improved = True
-                    break
-            if not improved:
+            # all eight neighbours in one batch; the first in dirs order that improves wins
+            trial = [(s1 + step * dx, s2 + step * dy) for dx, dy in dirs]
+            fresh = [s_c for s_c in dict.fromkeys(trial) if s_c not in seen]
+            if fresh:
+                seen.update(zip(fresh, evaluate(at, fresh)))
+            gain = next((s_c for s_c in trial if seen[s_c][0] > r), None)
+            if gain is None:
                 step *= 0.5
+            else:
+                (r, wit, _), (s1, s2) = seen[gain], gain
         return r, wit, (s1, s2)
 
     best_r = -np.inf
@@ -317,42 +335,26 @@ def metric_upper_bound(
     theta_b, pair_b, wit_b, s_b = best
 
     # orientation refinement with warm-started offset searches
-    def theta_objective(theta: float) -> float:
-        r, _, _ = offset_search(theta, pair_b, s0=s_b, coarse=True)
-        return r
-
+    iters = int(math.log(math.pi / spec.angle_tol) / math.log(1.0 / _GOLDEN))
     theta_b, _ = _golden_max(
-        theta_objective,
+        lambda theta: offset_search(theta, pair_b, s0=s_b, coarse=True)[0],
         theta_b - math.pi / spec.orientations,
         theta_b + math.pi / spec.orientations,
-        max(
-            spec.golden_iters,
-            int(math.log(math.pi / spec.angle_tol) / math.log(1.0 / _GOLDEN)),
-        ),
+        max(spec.golden_iters, iters),
     )
     _, wit_b2, s_b = offset_search(theta_b, pair_b, s0=s_b, coarse=False)
     if wit_b2 is not None:
         wit_b = wit_b2
 
     # final certified disc: refined circle maximum plus interior lattice
-    _, wit_fin, a_b = evaluate(theta_b, s_b[0], s_b[1], pair_b, refine=True)
+    _, wit_fin, a_b = evaluate(plane(theta_b, pair_b), [s_b], refine=True)[0]
     if wit_fin is None:
         wit_fin, a_b = wit_b, math.hypot(*s_b)
     radius = wit_fin.radius
     for _ in range(60):
-        lat = _lattice_margin(
-            domain,
-            wit_fin.center,
-            wit_fin.u,
-            wit_fin.w,
-            radius,
-            spec.lattice_radii,
-            spec.lattice_angles,
-        )
-        circ = _circle_margin(
-            domain, wit_fin.center, wit_fin.u, wit_fin.w, radius, spec.lattice_angles, True
-        )
-        if max(lat, circ) <= CONTAINMENT_MARGIN:
+        disc = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
+        lat = _lattice_margin(*disc, spec.lattice_radii, spec.lattice_angles)
+        if max(lat, _circle_margin(*disc, spec.lattice_angles)) <= CONTAINMENT_MARGIN:
             break
         radius *= 0.999
     wit_fin = DiscWitness(center=wit_fin.center, radius=radius, u=wit_fin.u, w=wit_fin.w)

@@ -262,6 +262,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (..., n) array, shape (..., 1).
+
+    Each row rounds exactly like the 1-D ``np.linalg.norm`` of that row,
+    which the axis-wise form does not.
+    """
+    return np.sqrt(_dot(v, v))
+
+
 def orthonormal_complement(unit: np.ndarray) -> np.ndarray:
     """Rows form an orthonormal basis of the hyperplane orthogonal to ``unit``.
 
@@ -272,12 +281,12 @@ def orthonormal_complement(unit: np.ndarray) -> np.ndarray:
     """
     unit = np.asarray(unit, dtype=float)
     n = unit.shape[-1]
-    basis = [unit / np.sqrt(_dot(unit, unit))]
+    basis = [unit / row_norms(unit)]
     axes = np.argsort(np.abs(unit), axis=-1, kind="stable")
     eye = np.eye(n)
     for k in range(n - 1):
         e = eye[axes[..., k]]
         for b in basis:
             e = e - _dot(e, b) * b
-        basis.append(e / np.sqrt(_dot(e, e)))
+        basis.append(e / row_norms(e))
     return np.stack(basis[1:], axis=-2)

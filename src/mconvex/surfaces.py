@@ -273,7 +273,10 @@ def sphere(radius: float = 1.0) -> ImplicitDomain:
     r = float(radius)
 
     def phi(x):
-        return np.linalg.norm(x, axis=-1) - r
+        # the squares added left to right round as np.linalg.norm(x, axis=-1)
+        # does, and several times faster on (N, 3) batches
+        sq = np.square(np.asarray(x, dtype=float))
+        return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2]) - r
 
     def grad(x):
         nrm = np.linalg.norm(x, axis=-1, keepdims=True)

@@ -20,6 +20,15 @@ import numpy as np
 from . import numkit, surfaces
 from .surfaces import ImplicitDomain, SurfacePoint
 
+# the multi-start projection: boundary seeds per point, convergence
+# tolerance, pull and Newton budgets, and the nearest-foot census tolerances
+STARTS = 16
+TOL = 1e-10
+MAX_PULL_ITERS = 60
+NEWTON_ITERS = 4
+CLUSTER_TOL = 1e-6
+EQUAL_DISTANCE_TOL = 1e-7
+
 
 class ProjectionError(RuntimeError):
     """The projection solver failed to converge for some points."""
@@ -47,8 +56,6 @@ class TubularCollar:
     eps0: float
     eps2: float
     eps1: float
-    starts: int = 16
-    tol: float = 1e-10
 
     def __post_init__(self):
         if not (0.0 < self.eps1 < self.eps2 < self.eps0 < self.eps0p):
@@ -77,20 +84,6 @@ class ProjectionResult:
     multiplicity: int
     residual: float
 
-    @property
-    def delta(self) -> float:
-        return self.distance
-
-
-@dataclass
-class ProjectionSettings:
-    starts: int = 16
-    tol: float = 1e-10
-    max_pull_iters: int = 60
-    newton_iters: int = 4
-    cluster_tol: float = 1e-6
-    equal_distance_tol: float = 1e-7
-
 
 def _newton_to_surface(domain: ImplicitDomain, p: np.ndarray, reps: int = 2) -> np.ndarray:
     for _ in range(reps):
@@ -101,10 +94,57 @@ def _newton_to_surface(domain: ImplicitDomain, p: np.ndarray, reps: int = 2) -> 
     return p
 
 
+def _newton_polish(domain: ImplicitDomain, p: np.ndarray, xq: np.ndarray, ns: int):
+    """Lagrange-Newton polish on (p, mu): x - p - mu * grad(p) = 0, phi(p) = 0.
+
+    ``p`` holds ``ns`` candidate rows per point of ``xq``. A point with a
+    singular system stops polishing alone: no point depends on its batch.
+    """
+    dim = p.shape[-1]
+    p2 = p.copy()
+    g = domain.grad(p2)
+    mu = np.sum((xq - p2) * g, axis=-1) / np.maximum(np.sum(g * g, axis=-1), 1e-280)
+    live = np.ones(len(p) // ns, dtype=bool)  # query points still being polished
+    rows = slice(None)  # their candidate rows; a view while every point is live
+    for _ in range(NEWTON_ITERS):
+        q, m, xr = p2[rows], mu[rows], xq[rows]
+        g = domain.grad(q)
+        h = domain.hess(q)
+        r1 = xr - q - m[:, None] * g
+        r2 = domain.phi(q)
+        jac = np.zeros((q.shape[0], dim + 1, dim + 1))
+        jac[:, :dim, :dim] = -np.eye(dim)[None, :, :] - m[:, None, None] * h
+        jac[:, :dim, dim] = -g
+        jac[:, dim, :dim] = g
+        jac[:, dim, dim] = 1e-14
+        rhs = np.concatenate([r1, r2[:, None]], axis=-1)
+        try:
+            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # slogdet runs the same LU as solve: sign 0 exactly where it fails
+            with np.errstate(invalid="ignore"):
+                singular = np.linalg.slogdet(jac)[0] == 0.0
+            frozen = np.any(singular.reshape(-1, ns), axis=1)
+            live[np.flatnonzero(live)[frozen]] = False
+            if not np.any(live):
+                break
+            keep = np.repeat(~frozen, ns)
+            q, m, jac, rhs = q[keep], m[keep], jac[keep], rhs[keep]
+            rows = np.repeat(live, ns)
+            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
+        delta = np.where(np.isfinite(delta), delta, 0.0)
+        step = delta[:, :dim]
+        slen = np.linalg.norm(step, axis=-1, keepdims=True)
+        step = step * np.minimum(1.0, 0.25 / np.maximum(slen, 1e-300))
+        p2[rows] = q + step
+        mu[rows] = m + np.clip(delta[:, dim], -0.25, 0.25)
+    return _newton_to_surface(domain, p2, reps=2)
+
+
 def project_batch(
     domain: ImplicitDomain,
     points: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
+    *,
     warm_feet: Optional[np.ndarray] = None,
 ):
     """Vectorized nearest-point projection onto the boundary.
@@ -112,14 +152,14 @@ def project_batch(
     Returns ``(feet, distances, multiplicities)`` with shapes (B, n), (B,),
     (B,). Distances are signed: negative inside the domain. Uses the exact
     projection when the domain provides one, otherwise multi-start
-    tangential pulls followed by a Lagrange-Newton polish.
+    tangential pulls followed by a Lagrange-Newton polish. Rows are
+    independent: a point gets the same bits alone as inside any batch.
 
     ``warm_feet`` supplies one known-good starting foot per point (for
     example the foot of a nearby point when evaluating difference
     stencils); it replaces the multi-start seeding, so it must only be used
     well inside the reach where the nearest foot is unique.
     """
-    settings = settings or ProjectionSettings()
     x = np.atleast_2d(np.asarray(points, dtype=float))
     if domain.exact_projection is not None:
         foot, delta, mult = domain.exact_projection(x)
@@ -130,7 +170,7 @@ def project_batch(
         ns = 1
         p = np.asarray(warm_feet, dtype=float).reshape(nb, 1, dim).copy()
     else:
-        seeds = domain.boundary_samples(settings.starts)
+        seeds = domain.boundary_samples(STARTS)
         ns = seeds.shape[0] + 1
         p = np.empty((nb, ns, dim))
         p[:, :-1, :] = seeds[None, :, :]
@@ -143,7 +183,7 @@ def project_batch(
     # Damped tangential pulls: full steps oscillate near focal configurations.
     damp = 0.6
     active = np.arange(p.shape[0])
-    for _ in range(settings.max_pull_iters):
+    for _ in range(MAX_PULL_ITERS):
         pa = p[active]
         xa = xq[active]
         g = domain.grad(pa)
@@ -155,39 +195,14 @@ def project_batch(
         cap = 0.5 * (1.0 + np.linalg.norm(d, axis=-1, keepdims=True))
         step = step * np.minimum(1.0, cap / np.maximum(slen, 1e-300))
         p[active] = _newton_to_surface(domain, pa + step, reps=2)
-        moved = np.linalg.norm(step, axis=-1) >= 0.01 * settings.tol
+        moved = np.linalg.norm(step, axis=-1) >= 0.01 * TOL
         active = active[moved]
         if active.size == 0:
             break
 
-    # Lagrange-Newton polish on (p, mu): x - p - mu * grad(p) = 0, phi(p) = 0.
     # Non-destructive: the polished candidate only replaces the pull result
     # where it ends up strictly closer to the surface-optimality conditions.
-    p2 = p.copy()
-    g = domain.grad(p2)
-    mu = np.sum((xq - p2) * g, axis=-1) / np.maximum(np.sum(g * g, axis=-1), 1e-280)
-    for _ in range(settings.newton_iters):
-        g = domain.grad(p2)
-        h = domain.hess(p2)
-        r1 = xq - p2 - mu[:, None] * g
-        r2 = domain.phi(p2)
-        jac = np.zeros((p2.shape[0], dim + 1, dim + 1))
-        jac[:, :dim, :dim] = -np.eye(dim)[None, :, :] - mu[:, None, None] * h
-        jac[:, :dim, dim] = -g
-        jac[:, dim, :dim] = g
-        jac[:, dim, dim] = 1e-14
-        rhs = np.concatenate([r1, r2[:, None]], axis=-1)
-        try:
-            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        delta = np.where(np.isfinite(delta), delta, 0.0)
-        step = delta[:, :dim]
-        slen = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = step * np.minimum(1.0, 0.25 / np.maximum(slen, 1e-300))
-        p2 = p2 + step
-        mu = mu + np.clip(delta[:, dim], -0.25, 0.25)
-    p2 = _newton_to_surface(domain, p2, reps=2)
+    p2 = _newton_polish(domain, p, xq, ns)
 
     def residuals(cand):
         phi_c = np.abs(domain.phi(cand))
@@ -207,11 +222,11 @@ def project_batch(
     p = p.reshape(nb, ns, dim)
     scale = 1.0 + np.linalg.norm(x, axis=-1)
     ok = phi_feet <= 1e-9 * scale[:, None]
-    ok &= tang_res <= 1e3 * settings.tol * scale[:, None]
+    ok &= tang_res <= 1e3 * TOL * scale[:, None]
     # only sharply converged critical points may witness extra nearest feet;
     # near-focal valleys leave loosely converged candidates at nearly the
     # best distance that would otherwise fake a multiplicity
-    critical = ok & (tang_res <= 1e2 * settings.tol * scale[:, None])
+    critical = ok & (tang_res <= 1e2 * TOL * scale[:, None])
 
     dist = np.linalg.norm(x[:, None, :] - p, axis=-1)
     dist_masked = np.where(ok, dist, np.inf)
@@ -226,31 +241,33 @@ def project_batch(
         )
 
     feet = p[np.arange(nb), best_idx]
-    mult = np.ones(nb)
-    eq_tol = settings.equal_distance_tol * (1.0 + best)
-    sep_tol = settings.cluster_tol * scale
-    for i in range(nb):
-        near = critical[i] & (dist[i] <= best[i] + eq_tol[i])
-        cand = p[i][near]
-        reps: list[np.ndarray] = []
-        for row in cand:
-            if all(np.linalg.norm(row - r) > sep_tol[i] for r in reps):
-                reps.append(row)
-        mult[i] = max(1, len(reps))
+    near = critical & (dist <= (best + EQUAL_DISTANCE_TOL * (1.0 + best))[:, None])
+    mult = _count_feet(p, near, CLUSTER_TOL * scale)
 
     sign = np.where(domain.phi(x) >= 0.0, 1.0, -1.0)
     delta = sign * best
     return feet, delta, mult
 
 
-def signed_distance(
-    domain: ImplicitDomain,
-    x: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
-) -> ProjectionResult:
+def _count_feet(candidates: np.ndarray, near: np.ndarray, sep_tol: np.ndarray) -> np.ndarray:
+    """Distinct nearest feet per point, at least 1: shape (B,).
+
+    Greedy along the start axis of ``candidates`` (B, S, n): a candidate
+    marked ``near`` (B, S) opens a new foot unless it lies within ``sep_tol``
+    (B,) of a foot opened by an earlier candidate of the same point.
+    """
+    opened = np.zeros(near.shape, dtype=bool)
+    for j in range(near.shape[1]):
+        gap = numkit.row_norms(candidates[:, j : j + 1] - candidates[:, :j])[..., 0]
+        apart = ~opened[:, :j] | (gap > sep_tol[:, None])
+        opened[:, j] = near[:, j] & np.all(apart, axis=1)
+    return np.maximum(1.0, np.count_nonzero(opened, axis=1))
+
+
+def signed_distance(domain: ImplicitDomain, x: np.ndarray) -> ProjectionResult:
     """Signed distance and nearest foot of a single point (negative inside)."""
     x = np.asarray(x, dtype=float)
-    feet, delta, mult = project_batch(domain, x[None, :], settings)
+    feet, delta, mult = project_batch(domain, x[None, :])
     residual = float(abs(domain.phi(feet[0])))
     return ProjectionResult(
         foot=feet[0],
@@ -292,10 +309,7 @@ class DistanceJet:
 
 
 def distance_jet(
-    domain: ImplicitDomain,
-    points: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
-    floor: float = -np.inf,
+    domain: ImplicitDomain, points: np.ndarray, floor: float = -np.inf
 ) -> DistanceJet:
     """One batched projection and one batched frame solve for B points.
 
@@ -306,7 +320,7 @@ def distance_jet(
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     nb, dim = x.shape
-    feet, delta, mult = project_batch(domain, x, settings)
+    feet, delta, mult = project_batch(domain, x)
     active = delta > floor
     grad = np.zeros((nb, dim))
     curvatures = np.zeros((nb, dim - 1))
@@ -329,13 +343,9 @@ def distance_jet(
     return DistanceJet(feet, delta, mult, active, grad, curvatures, directions)
 
 
-def grad_delta(
-    domain: ImplicitDomain,
-    x: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
-) -> np.ndarray:
+def grad_delta(domain: ImplicitDomain, x: np.ndarray) -> np.ndarray:
     """Unit gradient of the signed distance, pointing toward increasing distance."""
-    return distance_jet(domain, x, settings).grad[0]
+    return distance_jet(domain, x).grad[0]
 
 
 def transport_curvatures(sp: SurfacePoint, t) -> np.ndarray:
@@ -358,13 +368,9 @@ def transport_curvatures(sp: SurfacePoint, t) -> np.ndarray:
     return nu / denom
 
 
-def hessian_delta(
-    domain: ImplicitDomain,
-    x: np.ndarray,
-    settings: Optional[ProjectionSettings] = None,
-) -> np.ndarray:
+def hessian_delta(domain: ImplicitDomain, x: np.ndarray) -> np.ndarray:
     """Hessian of the signed distance assembled from transported curvatures."""
-    return distance_jet(domain, x, settings).hessian()[0]
+    return distance_jet(domain, x).hessian()[0]
 
 
 @dataclass(frozen=True)
@@ -390,9 +396,13 @@ def reach_estimate(
     boundary_samples: np.ndarray,
     probe_count: int = 24,
     cap: Optional[float] = None,
-    settings: Optional[ProjectionSettings] = None,
 ) -> ReachEstimate:
-    """Estimate the tubular radius from focal and bottleneck phenomena."""
+    """Estimate the tubular radius from focal and bottleneck phenomena.
+
+    The bottleneck bound is the smallest offset at which a probe ray (along
+    either normal) leaves its foot: all rays are tested at ``cap`` in one
+    batch, and those that fail there are bisected together.
+    """
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     if pts.size == 0:
         raise ValueError("empty boundary sample set")
@@ -411,42 +421,43 @@ def reach_estimate(
             cap = 8.0
 
     stride = max(1, len(pts) // probe_count)
-    bottleneck = np.inf
-    capped = True
-    for p, normal in zip(pts[::stride], frames.inner_normal[::stride]):
-        for direction in (normal, -normal):
-            s_ok = _largest_same_foot_offset(domain, p, direction, cap, settings)
-            if s_ok < cap:
-                capped = False
-            bottleneck = min(bottleneck, s_ok)
+    normals = frames.inner_normal[::stride]
+    origins = np.repeat(pts[::stride], 2, axis=0)
+    directions = np.stack([normals, -normals], axis=1).reshape(origins.shape)
+
+    def same_foot(o, d, s):
+        feet, _, mult = project_batch(domain, o + s[:, None] * d)
+        return (mult <= 1) & (numkit.row_norms(feet - o)[:, 0] <= 1e-5 * (1.0 + s))
+
+    offsets = np.full(len(origins), cap)
+    rays = np.flatnonzero(~same_foot(origins, directions, offsets))
+    if rays.size:
+        o, d = origins[rays], directions[rays]
+        lo, _ = bisect(lambda s: same_foot(o, d, s), np.zeros(rays.size), offsets[rays], 40)
+        offsets[rays] = lo
+    bottleneck = float(np.min(offsets))
     value = min(focal, bottleneck)
     return ReachEstimate(
         value=float(value),
         focal_bound=float(focal),
-        bottleneck_bound=float(bottleneck),
-        capped=capped and not np.isfinite(focal),
+        bottleneck_bound=bottleneck,
+        capped=rays.size == 0 and not np.isfinite(focal),
         samples=len(pts),
     )
 
 
-def _largest_same_foot_offset(domain, p, direction, cap, settings, iters: int = 40):
-    def same_foot(s: float) -> bool:
-        x = p + s * direction
-        feet, _, mult = project_batch(domain, x[None, :], settings)
-        if mult[0] > 1:
-            return False
-        return float(np.linalg.norm(feet[0] - p)) <= 1e-5 * (1.0 + s)
+def bisect(below, lo: np.ndarray, hi: np.ndarray, iters: int):
+    """Bisect many brackets at once; returns the final ``(lo, hi)``.
 
-    if same_foot(cap):
-        return cap
-    lo, hi = 0.0, cap
+    ``below(mid)`` marks the rows whose crossing lies beyond ``mid``: those
+    rows move ``lo`` up to ``mid``, the others move ``hi`` down to it.
+    """
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if same_foot(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        up = below(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -531,10 +542,7 @@ def collar_points(
     depths = depth_min + (depth_max - depth_min) * (
         (np.arange(n_depth) + 0.5) / n_depth
     )
-    rows = []
-    for p in base:
-        sp_grad = domain.grad(p)
-        inner = -sp_grad / np.linalg.norm(sp_grad)
-        rows.append(p[None, :] + depths[:, None] * inner[None, :])
-    pts = np.concatenate(rows, axis=0)
-    return pts[:count]
+    g = domain.grad(base)
+    inner = -g / numkit.row_norms(g)
+    pts = base[:, None, :] + depths[None, :, None] * inner[:, None, :]
+    return pts.reshape(-1, base.shape[-1])[:count]

@@ -106,22 +106,6 @@ def test_cap_degenerate_interval_rejected():
         barrier.SmoothingCap(lo=-1.0, hi=-2.0)
 
 
-def test_rho0_values():
-    ball = surfaces.sphere()
-    prof = barrier.make_profile(4.0, 2, 1.0)
-    col = barrier.choose_collar(prof, 1.0)
-    # on the boundary
-    assert barrier.rho0(ball, col, prof, np.array([1.0, 0.0, 0.0])) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    # collar point with delta = -0.1
-    val = barrier.rho0(ball, col, prof, np.array([0.9, 0.0, 0.0]))
-    assert val == pytest.approx(-0.08241998849109018, abs=1e-12)
-    # deep plateau point: exactly h(-eps0)
-    deep = barrier.rho0(ball, col, prof, np.array([0.2, 0.0, 0.0]))
-    assert deep == float(prof.value(-col.eps0))
-
-
 def test_build_rejects_nonconvex_boundary():
     ball = surfaces.sphere()
 

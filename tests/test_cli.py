@@ -188,6 +188,23 @@ def test_committed_config_validates_unchanged(path):
     assert (cfg.domain, cfg.grid, cfg.params) == (domain, grid, params)
 
 
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(ROOT, "configs", "*.yaml"))), ids=os.path.basename
+)
+def test_committed_config_matches_golden_report(path):
+    """Each committed config reproduces its golden report byte for byte.
+
+    A change that moves a reported value regenerates the file with
+    ``mconvex <kind> --config configs/<name>.yaml > tests/golden/<name>.jsonl``
+    and lists the old and new values in CHANGES.md.
+    """
+    name = os.path.basename(path)[:-5]
+    cfg = config.validate(config.load_config(path))
+    with open(os.path.join(ROOT, "tests", "golden", name + ".jsonl"), "rb") as fh:
+        golden = fh.read()
+    assert report.emit(cli.run(cfg), cfg.fmt) == golden
+
+
 def schema_rows(rows, prefix=""):
     """Every (documented key, row) of a schema table; list records use ``[]``."""
     for path, key in rows.items():

@@ -3,9 +3,12 @@
 The reference functions below are the earlier per-point implementations,
 kept verbatim as oracles: a cyclic Jacobi eigensolver, the shape-operator
 loop of ``principal_curvatures``, the scalar barrier jets, the per-segment
-Weierstrass integration, and the per-point composed Laplacian and
-subharmonicity sweep. Every kernel row must match its reference within
-1e-12 * (1 + |reference|); the sweep and the integration must match exactly.
+Weierstrass integration, the per-point composed Laplacian and
+subharmonicity sweep, the per-ray reach bisection, the per-point
+nearest-foot census, and the per-center disc radius and one-offset-at-a-
+time pattern search of the disc search. Every kernel row must match its
+reference within 1e-12 * (1 + |reference|); the sweep, the integration,
+the reach estimate, the census and the disc search must match exactly.
 """
 
 import importlib.util
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 import mconvex
-from mconvex import barrier, cli, discs, mpsh, numkit, surfaces, tubular
+from mconvex import barrier, cli, discs, hyperbolicity, mpsh, numkit, surfaces, tubular
 
 
 def assert_close(actual, reference):
@@ -134,7 +137,7 @@ def ref_coefficients(bf, t):
 
 
 def ref_gradient(bf, x):
-    res = tubular.signed_distance(bf.domain, x, bf.settings)
+    res = tubular.signed_distance(bf.domain, x)
     if res.distance <= -bf.collar.eps2:
         return np.zeros(bf.domain.dim)
     grad_d = ref_grad_delta(bf, x, res)
@@ -143,7 +146,7 @@ def ref_gradient(bf, x):
 
 
 def ref_hessian(bf, x):
-    res = tubular.signed_distance(bf.domain, x, bf.settings)
+    res = tubular.signed_distance(bf.domain, x)
     dim = bf.domain.dim
     if res.distance <= -bf.collar.eps2:
         return np.zeros((dim, dim))
@@ -159,7 +162,7 @@ def ref_hessian(bf, x):
 
 
 def ref_eigen_list(bf, x):
-    res = tubular.signed_distance(bf.domain, x, bf.settings)
+    res = tubular.signed_distance(bf.domain, x)
     if res.distance <= -bf.collar.eps2:
         return np.zeros(bf.domain.dim)
     _, nu, _ = ref_principal_curvatures(bf.domain, res.foot)
@@ -289,6 +292,110 @@ def test_distance_jet_hessian_matches_scalar_wrappers():
 
 
 # ---------------------------------------------------------------------------
+# reach bisection and the nearest-foot census
+
+
+def ref_largest_same_foot_offset(domain, p, direction, cap, iters=40):
+    def same_foot(s):
+        x = p + s * direction
+        feet, _, mult = tubular.project_batch(domain, x[None, :])
+        if mult[0] > 1:
+            return False
+        return float(np.linalg.norm(feet[0] - p)) <= 1e-5 * (1.0 + s)
+
+    if same_foot(cap):
+        return cap
+    lo, hi = 0.0, cap
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if same_foot(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ref_reach_estimate(domain, boundary_samples, probe_count=24, cap=None):
+    pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
+    frames = surfaces.boundary_frames(domain, pts)
+    peak = float(np.max(np.abs(frames.curvatures)))
+    focal = np.inf if peak == 0.0 else 1.0 / peak
+    if cap is None:
+        if np.isfinite(focal):
+            cap = 2.0 * focal
+        elif domain.box is not None:
+            cap = float(np.max(domain.box[1] - domain.box[0]))
+        else:
+            cap = 8.0
+    stride = max(1, len(pts) // probe_count)
+    bottleneck = np.inf
+    capped = True
+    for p, normal in zip(pts[::stride], frames.inner_normal[::stride]):
+        for direction in (normal, -normal):
+            s_ok = ref_largest_same_foot_offset(domain, p, direction, cap)
+            if s_ok < cap:
+                capped = False
+            bottleneck = min(bottleneck, s_ok)
+    return tubular.ReachEstimate(
+        value=float(min(focal, bottleneck)),
+        focal_bound=float(focal),
+        bottleneck_bound=float(bottleneck),
+        capped=capped and not np.isfinite(focal),
+        samples=len(pts),
+    )
+
+
+def ref_count_feet(candidates, near, sep_tol):
+    mult = np.ones(len(candidates))
+    for i in range(len(candidates)):
+        reps = []
+        for row in candidates[i][near[i]]:
+            if all(np.linalg.norm(row - r) > sep_tol[i] for r in reps):
+                reps.append(row)
+        mult[i] = max(1, len(reps))
+    return mult
+
+
+@pytest.mark.parametrize(
+    "name, samples, probes",
+    [("catenoid", 144, 12), ("catenoid", 256, 8), ("scherk", 144, 12),
+     ("sphere", 64, 6), ("slab", 64, 6)],
+)
+def test_reach_estimate_matches_per_ray_bisection(name, samples, probes):
+    domain = surfaces.make_domain(name)
+    pts = domain.boundary_samples(samples)
+    est = tubular.reach_estimate(domain, pts, probe_count=probes)
+    assert est == ref_reach_estimate(domain, pts, probe_count=probes)
+
+
+def test_foot_census_matches_greedy_loop(monkeypatch):
+    calls = []
+    count_feet = tubular._count_feet
+
+    def recording(candidates, near, sep_tol):
+        mult = count_feet(candidates, near, sep_tol)
+        calls.append((candidates, near, sep_tol, mult))
+        return mult
+
+    monkeypatch.setattr(tubular, "_count_feet", recording)
+    cat = surfaces.catenoid()
+    ball = surfaces.sphere()
+    generic = surfaces.ImplicitDomain(
+        "generic-sphere", 3, ball.phi, ball._grad, ball._hess,
+        boundary_sampler=ball._boundary_sampler, box=ball.box,
+    )
+    tubular.project_batch(cat, np.zeros(3))
+    axis = np.outer(np.linspace(-0.5, 0.5, 5), [0.0, 0.0, 1.0])
+    tubular.project_batch(cat, np.vstack([tubular.collar_points(cat, 300, 0.02, 0.98), axis]))
+    tubular.project_batch(cat, tubular.collar_points(cat, 64, 0.05, 0.3))
+    tubular.project_batch(generic, np.zeros(3))
+    assert len(calls) == 4
+    for candidates, near, sep_tol, mult in calls:
+        assert np.array_equal(mult, ref_count_feet(candidates, near, sep_tol))
+    assert calls[0][3][0] > 1 and np.any(calls[1][3] > 1) and calls[3][3][0] > 1
+
+
+# ---------------------------------------------------------------------------
 # m-trace
 
 
@@ -307,6 +414,175 @@ def test_sum_smallest_batched():
     for m in (0, 4):
         with pytest.raises(ValueError, match="m must be in"):
             mpsh.sum_smallest(spectra, m)
+
+
+# ---------------------------------------------------------------------------
+# disc search
+
+
+def ref_circle_margins_many(domain, center, u, w, radii, angles):
+    radii = np.asarray(radii, dtype=float)
+    th = 2.0 * np.pi * np.arange(angles) / angles
+    ring = np.cos(th)[:, None] * u[None, :] + np.sin(th)[:, None] * w[None, :]
+    pts = center[None, None, :] + radii[:, None, None] * ring[None, :, :]
+    vals = np.asarray(domain.phi(pts.reshape(-1, center.size)), dtype=float)
+    return vals.reshape(radii.size, angles).max(axis=1)
+
+
+def ref_max_disc_radius(domain, center, u, w, spec, refine=False):
+    margin = hyperbolicity.CONTAINMENT_MARGIN
+    phi0 = float(domain.phi(center))
+    if phi0 > margin:
+        return 0.0
+    g = np.asarray(domain.grad(center), dtype=float)
+    est = min(1.0, max(1e-6, abs(phi0) / max(1e-9, float(np.linalg.norm(g)))))
+    lo, hi = 0.0, None
+    r = est
+    for _ in range(60):
+        m = ref_circle_margins_many(domain, center, u, w, [r], spec.lattice_angles)[0]
+        if m > margin:
+            hi = r
+            break
+        lo = r
+        r *= 1.8
+        if r > spec.radius_cap:
+            return spec.radius_cap
+    if hi is None:
+        return spec.radius_cap
+    for _ in range(3):
+        rr = np.linspace(lo, hi, 18)[1:-1]
+        bad = ref_circle_margins_many(domain, center, u, w, rr, spec.lattice_angles) > margin
+        if bad.any():
+            first = int(np.argmax(bad))
+            hi = rr[first]
+            if first > 0:
+                lo = rr[first - 1]
+        else:
+            lo = rr[-1]
+    if not refine:
+        return lo
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        circ = hyperbolicity._circle_margin(domain, center, u, w, mid, spec.lattice_angles)
+        if circ <= margin:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ref_metric_upper_bound(domain, p, v, spec):
+    """The one-offset-at-a-time search of ``metric_upper_bound`` in R^3."""
+    hyp = hyperbolicity
+    vnorm = float(np.linalg.norm(v))
+    vhat = v / vnorm
+    comp = numkit.orthonormal_complement(vhat)
+    pair = (comp[0], comp[1])
+
+    def evaluate(theta, s1, s2, refine=False):
+        w = math.cos(theta) * pair[0] + math.sin(theta) * pair[1]
+        q = p + s1 * vhat + s2 * w
+        a = math.hypot(s1, s2)
+        radius = ref_max_disc_radius(domain, q, vhat, w, spec, refine)
+        if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
+            return -np.inf, None, a
+        return (radius * radius - a * a) / radius, hyp.DiscWitness(q, radius, vhat, w), a
+
+    def offset_search(theta, s0=(0.0, 0.0), coarse=True):
+        s1, s2 = s0
+        r, wit, _ = evaluate(theta, s1, s2)
+        if not np.isfinite(r):
+            return -np.inf, None, (s1, s2)
+        step = 0.25 * wit.radius
+        floor = 1e-4 * max(1.0, wit.radius) * (10.0 if coarse else 1.0)
+        h = 0.7071067811865476
+        dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (h, h), (h, -h), (-h, h), (-h, -h)]
+        while step > floor:
+            for dx, dy in dirs:
+                cand, wit_c, _ = evaluate(theta, s1 + step * dx, s2 + step * dy)
+                if cand > r:
+                    r, wit = cand, wit_c
+                    s1, s2 = s1 + step * dx, s2 + step * dy
+                    break
+            else:
+                step *= 0.5
+        return r, wit, (s1, s2)
+
+    best_r, best = -np.inf, None
+    for k in range(spec.orientations):
+        theta = math.pi * k / spec.orientations
+        r, wit, s = offset_search(theta)
+        if r > best_r:
+            best_r, best = r, (theta, wit, s)
+    theta_b, wit_b, s_b = best
+    iters = max(
+        spec.golden_iters,
+        int(math.log(math.pi / spec.angle_tol) / math.log(1.0 / hyp._GOLDEN)),
+    )
+    theta_b, _ = hyp._golden_max(
+        lambda t: offset_search(t, s0=s_b)[0],
+        theta_b - math.pi / spec.orientations,
+        theta_b + math.pi / spec.orientations,
+        iters,
+    )
+    _, wit_b2, s_b = offset_search(theta_b, s0=s_b, coarse=False)
+    _, wit_fin, a_b = evaluate(theta_b, s_b[0], s_b[1], refine=True)
+    radius = wit_fin.radius
+    for _ in range(60):
+        args = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
+        lat = hyp._lattice_margin(*args, spec.lattice_radii, spec.lattice_angles)
+        circ = hyp._circle_margin(*args, spec.lattice_angles)
+        if max(lat, circ) <= hyp.CONTAINMENT_MARGIN:
+            break
+        radius *= 0.999
+    return vnorm / ((radius * radius - a_b * a_b) / radius), a_b, radius, wit_fin
+
+
+def test_sphere_phi_rounds_as_axis_norm():
+    ball = surfaces.sphere(0.7)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4000, 3)) * rng.uniform(1e-3, 1e3, (4000, 1))
+    assert np.array_equal(ball.phi(x), np.linalg.norm(x, axis=-1) - 0.7)
+    assert np.array_equal(ball.phi(x.reshape(10, 400, 3)).ravel(), ball.phi(x))
+    assert all(ball.phi(row) == np.linalg.norm(row, axis=-1) - 0.7 for row in x[:200])
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid"])
+def test_disc_radii_match_per_center_search(name):
+    domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
+    rng = np.random.default_rng(11)
+    normal = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    u, w = numkit.orthonormal_complement(normal)
+    centers = rng.uniform(-0.8, 0.8, (24, 3))
+    centers[0] = [0.0, 0.0, 2.0]  # outside: radius 0
+    centers[1] = 0.5 * u  # the first circle already leaves the ball
+    centers[2:4] = [0.99 * normal, 0.9 * normal]  # the radius grows 5 and 2 times
+    for spec in (hyperbolicity.DiscSearchSpec(), hyperbolicity.DiscSearchSpec(radius_cap=0.05)):
+        ring = hyperbolicity._circle_ring(u, w, spec.lattice_angles)
+        radius, _ = hyperbolicity._disc_radii(domain, centers, ring, spec)
+        expected = [ref_max_disc_radius(domain, c, u, w, spec) for c in centers]
+        assert radius.tolist() == expected
+    spec = hyperbolicity.DiscSearchSpec()
+    for c in centers[:4]:
+        got = hyperbolicity._certified_disc_radius(domain, c, u, w, spec)
+        assert got == ref_max_disc_radius(domain, c, u, w, spec, refine=True)
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("sphere", 2024), ("sphere", 7), ("catenoid", 3)]
+)
+def test_metric_upper_bound_matches_sequential_search(name, seed):
+    domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(3)
+    p = rng.standard_normal(3)
+    p *= 0.6 * rng.uniform() / np.linalg.norm(p)
+    spec = hyperbolicity.DiscSearchSpec()
+    est = hyperbolicity.metric_upper_bound(domain, p, v, spec)
+    bound, offset, radius, wit = ref_metric_upper_bound(domain, p, v, spec)
+    assert (est.bound, est.offset, est.witness.radius) == (bound, offset, radius)
+    assert np.array_equal(est.witness.center, wit.center)
+    assert np.array_equal(est.witness.w, wit.w)
 
 
 # ---------------------------------------------------------------------------

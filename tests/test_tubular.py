@@ -46,6 +46,25 @@ def test_catenoid_axis_multiplicity():
     assert res.multiplicity > 1
 
 
+@pytest.mark.parametrize("case", ["catenoid-axis", "generic-sphere-centre"])
+def test_projection_rows_do_not_depend_on_their_batch(case):
+    # the appended centre has several nearest feet and singular Newton
+    # systems; it must not stop the polish of the other points
+    if case == "catenoid-axis":
+        dom = surfaces.catenoid()
+        pts = tubular.collar_points(dom, 20, 0.02, 0.3)
+    else:
+        dom = generic_sphere()
+        pts = np.random.default_rng(2).uniform(-0.9, 0.9, size=(20, 3))
+    batch = np.vstack([pts, np.zeros((1, 3))])
+    feet, delta, mult = tubular.project_batch(dom, batch)
+    assert mult[-1] > 1
+    for i, x in enumerate(batch):
+        foot, dlt, m = tubular.project_batch(dom, x)
+        assert np.array_equal(foot[0], feet[i]), i
+        assert dlt[0] == delta[i] and m[0] == mult[i], i
+
+
 def test_foot_lies_on_boundary():
     cat = surfaces.catenoid()
     pts = tubular.collar_points(cat, 50, 0.02, 0.3)
