@@ -204,10 +204,13 @@ def make_cap(collar: TubularCollar, profile: ConvexProfile, degree: int = 3) -> 
 class BarrierJets:
     """First and second jets of the defining function at B points in R^n.
 
-    ``gradient`` (B, n), ``hessian`` (B, n, n), and ``spectrum`` (B, n), the
-    analytic Hessian eigenvalues in ascending order.
+    ``delta`` (B,), the signed distance of every row from its one cold
+    projection, plateau rows included; ``gradient`` (B, n), ``hessian``
+    (B, n, n), and ``spectrum`` (B, n), the analytic Hessian eigenvalues in
+    ascending order.
     """
 
+    delta: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
     spectrum: np.ndarray
@@ -311,7 +314,7 @@ class BarrierFunction:
             spectrum[a] = np.sort(
                 np.concatenate([first * jet.curvatures[a], second], axis=-1), axis=-1
             )
-        return BarrierJets(gradient, hessian, spectrum)
+        return BarrierJets(jet.delta, gradient, hessian, spectrum)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.jets(x).gradient[0]
@@ -413,16 +416,21 @@ def verify_barrier(
     gradient does not vanish on the regular level range (-1, 0]; (d) the
     analytic Hessian spectrum matches the transported-curvature list, and
     optionally a finite-difference Hessian; (e) levels in (-1, 0) sit at the
-    predicted signed distance, located by bisection along inner normals.
+    predicted signed distance, located by bisection along inner normals,
+    warm-started from the boundary foot inside eps1 and checked by one cold
+    projection at the located points.
+
+    Each interior and boundary point is projected cold once; (c) and the
+    finite-difference selection reuse those signed distances.
     """
     interior_points = np.atleast_2d(np.asarray(interior_points, dtype=float))
     boundary_points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
     checks = []
-    hessians, spectra = bf.hessian_batch(interior_points)
+    jets = bf.jets(interior_points)
 
     # (a) m-plurisubharmonicity margins over the interior grid; the same
     # eigen solve serves the spectrum check (d)
-    actual = numkit.sym_eigen(hessians).eigenvalues
+    actual = numkit.sym_eigen(jets.hessian).eigenvalues
     margins = mpsh.sum_smallest(actual, bf.m)
     widx = int(np.argmin(margins))
     worst = float(margins[widx])
@@ -439,7 +447,8 @@ def verify_barrier(
     )
 
     # (b) zero on the boundary
-    bvals = np.abs(bf.value_batch(boundary_points))
+    bdeltas = bf.delta_batch(boundary_points)
+    bvals = np.abs(bf.value_from_delta(bdeltas))
     bidx = int(np.argmax(bvals))
     checks.append(
         BarrierCheck(
@@ -456,7 +465,7 @@ def verify_barrier(
     # the gradient norm a function of the signed distance alone
     floor = 1e-6 * bf.scale
     all_pts = np.concatenate([interior_points, boundary_points])
-    deltas_all = bf.delta_batch(all_pts)
+    deltas_all = np.concatenate([jets.delta, bdeltas])
     vals_all = bf.value_from_delta(deltas_all)
     regular_mask = (vals_all > -1.0) & (vals_all <= 0.0)
     gnorms = bf.chain_coefficients(deltas_all)[0]
@@ -482,11 +491,10 @@ def verify_barrier(
     # (d) analytic spectrum equals the transported-curvature list; optional
     # finite-difference cross-check on inner-collar points, where the cap is
     # the identity and differencing is well conditioned
-    errs = np.max(np.abs(spectra - actual), axis=-1)
+    errs = np.max(np.abs(jets.spectrum - actual), axis=-1)
     err_pts = interior_points
     if fd_check_count > 0:
-        deltas = bf.delta_batch(interior_points)
-        inner = interior_points[deltas > -0.95 * bf.collar.eps1][:fd_check_count]
+        inner = interior_points[jets.delta > -0.95 * bf.collar.eps1][:fd_check_count]
         if len(inner):
             fd = numkit.hessian_fd_richardson_batch(bf.value_batch, inner, 1e-3)
             _, pred = bf.hessian_batch(inner)
@@ -534,7 +542,11 @@ def verify_barrier(
 
 
 def _bisect_levels(bf: BarrierFunction, base: np.ndarray, levels, iters: int = 48):
-    """Locate every level on every inner-normal ray by batched bisection."""
+    """Locate every level on every inner-normal ray by batched bisection.
+
+    Every ray point lies within eps1 < reach/2 of its boundary origin, so
+    that origin is its unique nearest foot and warm-starts its projection.
+    """
     base = np.asarray(base, dtype=float)
     if not len(levels) or not len(base):
         return np.zeros((0, bf.domain.dim)), np.zeros(0)
@@ -546,7 +558,9 @@ def _bisect_levels(bf: BarrierFunction, base: np.ndarray, levels, iters: int = 4
     targets = np.repeat([bf.level_delta(t) for t in levels], len(base))
 
     def gap(s):
-        return bf.value_batch(origins + s[:, None] * inners) - tvals
+        x = origins + s[:, None] * inners
+        _, dlt, _ = tubular.project_batch(bf.domain, x, warm_feet=origins)
+        return bf.value_from_delta(dlt) - tvals
 
     hi = np.full(len(origins), bf.collar.eps1)
     valid = gap(hi) < 0.0  # rho decreases into the domain, level is bracketed

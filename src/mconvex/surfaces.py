@@ -480,7 +480,10 @@ def catenoid(scale: float = 1.0, z_extent: float = 1.2) -> ImplicitDomain:
     s = float(scale)
 
     def rho(x):
-        return np.linalg.norm(np.asarray(x, dtype=float)[..., :2], axis=-1)
+        # rounds as np.linalg.norm(x[..., :2], axis=-1) does, and several
+        # times faster on (N, 3) batches
+        sq = np.square(np.asarray(x, dtype=float)[..., :2])
+        return np.sqrt(sq[..., 0] + sq[..., 1])
 
     def phi(x):
         x = np.asarray(x, dtype=float)

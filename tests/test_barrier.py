@@ -209,6 +209,74 @@ def test_verify_barrier_catenoid():
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
+def ref_verify_barrier(bf, interior, boundary, level_count=10):
+    """verify_barrier before its warm start, at the default tolerances and
+    no finite-difference check: checks (b), (c) and the level bracket each
+    project their points cold again. Of check (e) it returns the count."""
+    check = barrier.BarrierCheck
+    hessians, spectra = bf.hessian_batch(interior)
+    actual = numkit.sym_eigen(hessians).eigenvalues
+    margins = mpsh.sum_smallest(actual, bf.m)
+    i = int(np.argmin(margins))
+    checks = [check("psh-margin", float(margins[i]), -1e-8, bool(margins[i] >= -1e-8),
+                    interior[i], len(interior))]
+    bvals = np.abs(bf.value_batch(boundary))
+    i = int(np.argmax(bvals))
+    checks.append(check("boundary-zero", float(bvals[i]), 1e-8, bool(bvals[i] <= 1e-8),
+                        boundary[i], len(boundary)))
+    floor = 1e-6 * bf.scale
+    all_pts = np.concatenate([interior, boundary])
+    deltas = bf.delta_batch(all_pts)
+    vals = bf.value_from_delta(deltas)
+    regular = (vals > -1.0) & (vals <= 0.0)
+    masked = np.where(regular, bf.chain_coefficients(deltas)[0], np.inf)
+    i = int(np.argmin(masked))
+    checks.append(check("gradient-floor", float(masked[i]), floor, bool(masked[i] > floor),
+                        all_pts[i] if regular.any() else None, int(regular.sum())))
+    errs = np.max(np.abs(spectra - actual), axis=-1)
+    i = int(np.argmax(errs))
+    checks.append(check("eigen-list", float(errs[i]), 1e-6, bool(errs[i] <= 1e-6),
+                        interior[i] if errs[i] > 0.0 else None, len(interior)))
+    base = boundary[:: max(1, len(boundary) // 32)][:32]
+    g = bf.domain.grad(base)
+    rays = base - bf.collar.eps1 * g / numkit.row_norms(g)
+    levels = np.repeat([-(k + 1.0) / (level_count + 1.0) for k in range(level_count)], len(base))
+    bracketed = bf.value_batch(np.tile(rays, (level_count, 1))) - levels < 0.0
+    return checks, int(np.sum(bracketed))
+
+
+def test_verify_barrier_projects_each_point_cold_once(monkeypatch):
+    cat = surfaces.catenoid()
+    bf = barrier.build_barrier(cat, m=2, eps=0.78)
+    interior = tubular.collar_points(cat, 300, 1e-3, 0.98 * bf.collar.eps0p)
+    boundary = cat.boundary_samples(64)
+    ref_checks, level_count = ref_verify_barrier(bf, interior, boundary)
+    assert np.any(bf.delta_batch(interior) <= -bf.collar.eps2)  # plateau rows too
+
+    calls = []
+    project = tubular.project_batch
+
+    def recording(domain, points, *, warm_feet=None):
+        calls.append((len(np.atleast_2d(points)), warm_feet is not None))
+        return project(domain, points, warm_feet=warm_feet)
+
+    monkeypatch.setattr(tubular, "project_batch", recording)
+    rep = barrier.verify_barrier(bf, interior, boundary, fd_check_count=0)
+    monkeypatch.undo()
+
+    level = rep.named("level-set")
+    assert level.count == level_count == 320 and level.passed and level.worst_value <= 1e-12
+    cold = sum(n for n, warm in calls if not warm)
+    assert cold == len(interior) + len(boundary) + level.count
+    assert [n for n, warm in calls if warm] == [320] * 49
+    for got, want in zip(rep.checks[:4], ref_checks):
+        assert (got.name, got.worst_value, got.threshold, got.passed, got.count) == (
+            want.name, want.worst_value, want.threshold, want.passed, want.count)
+        assert (got.worst_point is None) == (want.worst_point is None)
+        assert got.worst_point is None or np.array_equal(got.worst_point, want.worst_point)
+    assert [c.name for c in rep.checks] == [c.name for c in ref_checks] + ["level-set"]
+
+
 class _ConcaveCap(barrier.SmoothingCap):
     """Deliberately broken cap: concave transition, for the negative control."""
 

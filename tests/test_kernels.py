@@ -5,10 +5,13 @@ kept verbatim as oracles: a cyclic Jacobi eigensolver, the shape-operator
 loop of ``principal_curvatures``, the scalar barrier jets, the per-segment
 Weierstrass integration, the per-point composed Laplacian and
 subharmonicity sweep, the per-ray reach bisection, the per-point
-nearest-foot census, and the per-center disc radius and one-offset-at-a-
-time pattern search of the disc search. Every kernel row must match its
-reference within 1e-12 * (1 + |reference|); the sweep, the integration,
-the reach estimate, the census and the disc search must match exactly.
+nearest-foot census, the cold level bisection, the axis-norm catenoid
+radius, and the per-center disc radius and one-offset-at-a-time pattern
+search of the disc search. Every kernel row must match its reference within
+1e-12 * (1 + |reference|); the warm-started level bisection must keep the
+same rays and levels and locate its points within 1e-12 of the cold ones;
+the sweep, the integration, the reach estimate, the census, the catenoid
+jets and the disc search must match exactly.
 """
 
 import importlib.util
@@ -396,6 +399,46 @@ def test_foot_census_matches_greedy_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# level bisection
+
+
+def ref_bisect_levels(bf, base, levels, iters=48):
+    base = np.asarray(base, dtype=float)
+    if not len(levels) or not len(base):
+        return np.zeros((0, bf.domain.dim)), np.zeros(0)
+    g = bf.domain.grad(base)
+    origins = np.tile(base, (len(levels), 1))
+    inners = np.tile(-g / numkit.row_norms(g), (len(levels), 1))
+    tvals = np.repeat(np.asarray(levels, dtype=float), len(base))
+    targets = np.repeat([bf.level_delta(t) for t in levels], len(base))
+
+    def gap(s):
+        return bf.value_batch(origins + s[:, None] * inners) - tvals
+
+    hi = np.full(len(origins), bf.collar.eps1)
+    valid = gap(hi) < 0.0
+    lo, hi = tubular.bisect(lambda s: gap(s) > 0.0, np.zeros(len(origins)), hi, iters)
+    s = 0.5 * (lo + hi)
+    located = origins + s[:, None] * inners
+    return located[valid], targets[valid]
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk"])
+def test_level_bisection_matches_cold_reference(name):
+    domain = surfaces.make_domain(name)
+    est = tubular.reach_estimate(domain, domain.boundary_samples(128), probe_count=8)
+    bf = barrier.build_barrier(domain, m=2, eps=0.8 * est.value)
+    base = domain.boundary_samples(512)[::16][:32]
+    levels = [-(k + 1.0) / 11.0 for k in range(10)]
+    located, targets = barrier._bisect_levels(bf, base, levels)
+    ref_located, ref_targets = ref_bisect_levels(bf, base, levels)
+    # equal shapes and points within 1e-12 on rays apart by far more: the
+    # same rays were kept
+    assert np.array_equal(targets, ref_targets) and located.shape == ref_located.shape
+    assert np.max(np.abs(located - ref_located)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # m-trace
 
 
@@ -545,6 +588,43 @@ def test_sphere_phi_rounds_as_axis_norm():
     assert np.array_equal(ball.phi(x), np.linalg.norm(x, axis=-1) - 0.7)
     assert np.array_equal(ball.phi(x.reshape(10, 400, 3)).ravel(), ball.phi(x))
     assert all(ball.phi(row) == np.linalg.norm(row, axis=-1) - 0.7 for row in x[:200])
+
+
+def ref_catenoid_jets(x, s):
+    x = np.asarray(x, dtype=float)
+    rho = np.linalg.norm(x[..., :2], axis=-1)
+    rr = np.maximum(rho, 1e-300)
+    g = np.zeros_like(x)
+    g[..., 0] = x[..., 0] / rr
+    g[..., 1] = x[..., 1] / rr
+    g[..., 2] = -np.sinh(x[..., 2] / s)
+    ux, uy = x[..., 0] / rr, x[..., 1] / rr
+    h = np.zeros(x.shape + (3,))
+    h[..., 0, 0] = (1.0 - ux * ux) / rr
+    h[..., 1, 1] = (1.0 - uy * uy) / rr
+    h[..., 0, 1] = -ux * uy / rr
+    h[..., 1, 0] = h[..., 0, 1]
+    h[..., 2, 2] = -np.cosh(x[..., 2] / s) / s
+    return rho - s * np.cosh(x[..., 2] / s), g, h
+
+
+def test_catenoid_phi_rounds_as_axis_norm():
+    cat = surfaces.catenoid(1.3)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((4000, 3)) * rng.uniform(1e-3, 1e2, (4000, 1))
+    x = np.vstack([x, [[0.0, 0.0, 0.4], [0.0, 0.0, 0.0]]])
+
+    def same(a, b):
+        return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    jets = (cat.phi(x), cat.grad(x), cat.hess(x))
+    assert same(jets, ref_catenoid_jets(x, 1.3))
+    y = x[:4000].reshape(10, 400, 3)
+    assert same((cat.phi(y).ravel(), cat.grad(y).reshape(-1, 3), cat.hess(y).reshape(-1, 3, 3)),
+                (j[:4000] for j in jets))
+    rows = list(x[:200]) + list(x[-2:])
+    assert all(same((cat.phi(r), cat.grad(r), cat.hess(r)), ref_catenoid_jets(r, 1.3))
+               for r in rows)
 
 
 @pytest.mark.parametrize("name", ["sphere", "catenoid"])
