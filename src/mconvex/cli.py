@@ -335,8 +335,13 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
             pairs.append((point, direction / np.linalg.norm(direction)))
     worst_ratio = 0.0
     worst_deficit = 0.0
-    for i, (p, v) in enumerate(pairs):
-        est = hyperbolicity.metric_upper_bound(domain, p, v)
+    points, directions = (np.array(side) for side in zip(*pairs))
+    try:
+        estimates, failure = hyperbolicity.metric_upper_bound(domain, points, directions), None
+    except Exception as exc:
+        # the records of the pairs before the failing one come first
+        estimates, failure = getattr(exc, "estimates", ()), exc
+    for i, ((p, v), est) in enumerate(zip(pairs, estimates)):
         if is_ball:
             ref = hyperbolicity.bck_metric(p, v)
             ratio = est.bound / ref
@@ -357,7 +362,9 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
                     detail="upper bound only",
                 )
             )
-    if is_ball and pairs:
+    if failure is not None:
+        raise failure
+    if is_ball:
         report.add(
             CheckRecord("max-ratio", worst_ratio, 1.0 + tol, worst_ratio <= 1.0 + tol)
         )

@@ -368,18 +368,24 @@ def composition_laplacian(field, cm: ConformalMap, z, harmonic_tol: float = 1e-6
     """
     zz = np.asarray(z, dtype=complex)
     flat = zz.reshape(-1)
-    fx, fy = (np.asarray(j, dtype=float) for j in cm.jet1(flat))
-    resid = harmonicity_residual(cm, flat)
+    lap = _laplacian_of_images(field, cm, flat, cm.f(flat), harmonic_tol)
+    return float(lap[0]) if zz.ndim == 0 else lap.reshape(zz.shape)
+
+
+def _laplacian_of_images(field, cm: ConformalMap, z, images, harmonic_tol=1e-6):
+    """``composition_laplacian`` at the parameters z (B,) whose images
+    ``cm.f(z)`` (B, n) the caller already has."""
+    fx, fy = (np.asarray(j, dtype=float) for j in cm.jet1(z))
+    resid = harmonicity_residual(cm, z)
     scale = np.maximum(1.0, np.sum(fx * fx + fy * fy, axis=-1))
     bad = np.linalg.norm(resid, axis=-1) > harmonic_tol * scale
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NonHarmonicMapError(
-            f"map {cm.name!r} has Laplacian {resid[i].tolist()} at {complex(flat[i])}"
+            f"map {cm.name!r} has Laplacian {resid[i].tolist()} at {complex(z[i])}"
         )
-    h = mpsh.hessian_stack(field, cm.f(flat))
-    lap = (fx[:, None] @ h @ fx[..., None] + fy[:, None] @ h @ fy[..., None])[:, 0, 0]
-    return float(lap[0]) if zz.ndim == 0 else lap.reshape(zz.shape)
+    h = mpsh.hessian_stack(field, images)
+    return (fx[:, None] @ h @ fx[..., None] + fy[:, None] @ h @ fy[..., None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -412,7 +418,7 @@ def subharmonicity_sweep(
     ``inside`` optionally validates that the image stays in the field's
     region; a sample outside aborts the sweep.
     """
-    zz = cm.grid() if grid is None else np.asarray(grid)
+    zz = np.asarray(cm.grid() if grid is None else grid, dtype=complex)
     images = np.asarray(cm.f(zz), dtype=float)
     if inside is not None:
         kept = np.fromiter(map(inside, images), dtype=bool, count=len(images))
@@ -421,7 +427,7 @@ def subharmonicity_sweep(
                 f"map {cm.name!r} leaves the field's region at parameter "
                 f"{complex(zz[np.argmin(kept)])}"
             )
-    lap = composition_laplacian(field, cm, zz)
+    lap = _laplacian_of_images(field, cm, zz, images)
     values = field.value_batch(images)
     worst = int(np.argmin(lap))
     return SweepReport(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,24 +86,47 @@ class DiscSearchSpec:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# at most this many points per phi call of the radius solve: enough rows to
+# amortise the call, few enough to keep a lockstep round's arrays small (on a
+# 2-core x86 host, 4,096 ran fastest of 2,048 to 16,384, and 8,192 ran 20%
+# slower)
+PHI_POINTS = 4096
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int):
+# pairs of one metric_upper_bound stack searched in lockstep at a time; the
+# searches of a group are all in flight together, so this bounds their state
+LOCKSTEP_PAIRS = 8
+
+
+def _golden_points(lo, hi, iters):
+    """Golden-section search for a maximum on [lo, hi] as a coroutine: it
+    yields the points to evaluate (the opening two together, then one per
+    step), is sent their values, and returns (argmax, max)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = yield c, d
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+            (fc,) = yield (c,)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = fn(d)
+            (fd,) = yield (d,)
     if fc >= fd:
         return c, fc
     return d, fd
+
+
+def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int):
+    search = _golden_points(lo, hi, iters)
+    try:
+        points = next(search)
+        while True:
+            points = search.send([fn(x) for x in points])
+    except StopIteration as stop:
+        return stop.value
 
 
 def _circle_margin(domain, center, u, w, radius, angles):
@@ -138,24 +161,31 @@ def _circle_ring(u, w, angles):
     return np.cos(th)[:, None] * u + np.sin(th)[:, None] * w
 
 
-def _circle_margins_many(domain, tiled, ring, radii):
+def _circle_margins_many(domain, centers, rings, plane, radii):
     """Boundary-circle maxima of phi (B, R) for radii (B, R) about B centers,
-    tiled (B, A * n) as ``np.tile(centers, A)`` for the (A, n) unit ring."""
-    pts = tiled[:, None, :] + radii[:, :, None] * ring.reshape(-1)
-    vals = np.asarray(domain.phi(pts.reshape(-1, ring.shape[1])), dtype=float)
+    row i on the unit ring ``rings[plane[i]]`` of the (P, A, n) table."""
+    count, n = rings.shape[1:]
+    pts = radii[:, :, None] * rings.reshape(len(rings), -1)[plane, None, :]
+    pts += centers.repeat(count, axis=0).reshape(len(centers), 1, -1)  # np.tile(centers, count)
+    vals = np.asarray(domain.phi(pts.reshape(-1, n)), dtype=float)
     return vals.reshape(radii.shape + (-1,)).max(axis=-1)
 
 
-def _first_exit(domain, tiled, ring, radii, stop, chunk):
+def _first_exit(domain, centers, rings, plane, radii, stop, chunk):
     """Per row, the first column of radii whose circle leaves the domain or
-    where ``stop`` is set (R if none); ``chunk`` columns per field evaluation,
-    so a row's circles past its first exit chunk are never evaluated."""
+    where ``stop`` is set (R if none); ``chunk`` columns and at most
+    ``PHI_POINTS`` points per field evaluation, so a row's circles past its
+    first exit chunk are never evaluated."""
     first = np.full(len(radii), radii.shape[1])
     left = np.arange(len(radii))
+    rows = max(1, PHI_POINTS // (chunk * rings.shape[1]))
     for k in range(0, radii.shape[1], chunk):
         if left.size == 0:
             break
-        hit = _circle_margins_many(domain, tiled[left], ring, radii[left, k:k + chunk])
+        hit = np.concatenate([
+            _circle_margins_many(domain, centers[b], rings, plane[b], radii[b, k:k + chunk])
+            for b in (left[i:i + rows] for i in range(0, left.size, rows))
+        ])
         hit = (hit > CONTAINMENT_MARGIN) | stop[left, k:k + chunk]
         done = hit.any(axis=1)
         first[left[done]] = k + np.argmax(hit[done], axis=1)
@@ -163,12 +193,23 @@ def _first_exit(domain, tiled, ring, radii, stop, chunk):
     return first
 
 
-def _disc_radii(domain, centers, ring, spec):
-    """Largest admissible radii of flat discs at B centers in the plane of
-    the unit ring, with the top of each final bracket (NaN where the radius
-    is 0, outside the margin, or the cap): a growing radius brackets the
-    boundary and three 16-radius grids narrow the bracket, each step batched
-    over the centers; a row rounds exactly as a one-center search."""
+def _disc_radii(domain, centers, rings, spec, plane=None, beat=None, a2=None):
+    """Largest admissible radii of flat discs at B centers, with the top of
+    each final bracket (NaN where the radius is 0, outside the margin, or the
+    cap): a growing radius brackets the boundary and three 16-radius grids
+    narrow the bracket, each step batched over the centers; a row rounds
+    exactly as a one-center search.
+
+    Row i lies in the plane of the unit ring ``rings[plane[i]]`` of a
+    (P, A, n) table; without ``plane``, ``rings`` is one (A, n) ring for
+    every row. Given per-row scores ``beat`` and squared offsets ``a2``, a
+    row whose bracket top T has (T^2 - a2) / T <= beat after the growth or a
+    grid is dropped with a NaN radius: its radius would end below T, and the
+    score R - a2 / R grows with R, so it cannot beat. A row with
+    ``beat = -inf`` is never dropped.
+    """
+    if plane is None:
+        rings, plane = rings[None], np.zeros(len(centers), dtype=int)
     radius, hi = np.zeros(len(centers)), np.full(len(centers), np.nan)
     phi0 = np.asarray(domain.phi(centers), dtype=float)
     rows = np.flatnonzero(~(phi0 > CONTAINMENT_MARGIN))
@@ -186,19 +227,24 @@ def _disc_radii(domain, centers, ring, spec):
     seq = np.multiply.accumulate(seq, axis=1)
     capped = seq > spec.radius_cap
     capped[:, 0] = False
-    tiled = np.tile(centers[rows], ring.shape[0])
-    f = _first_exit(domain, tiled, ring, seq, capped, 4)  # exits come early
+    f = _first_exit(domain, centers[rows], rings, plane[rows], seq, capped, 4)  # exits come early
     keep = np.flatnonzero(f < 60)
     keep = keep[~capped[keep, f[keep]]]
-    f, tiled, at = f[keep], tiled[keep], np.arange(keep.size)
+    f, rows = f[keep], rows[keep]
     top, lo = seq[keep, f], np.where(f > 0, seq[keep, f - 1], 0.0)
     for _ in range(3):
+        if beat is not None:
+            out = (top * top - a2[rows]) / top <= beat[rows]
+            radius[rows[out]] = np.nan
+            rows, top, lo = rows[~out], top[~out], lo[~out]
         # np.linspace(lo, top, 18)[1:-1], rounded alike (top - lo is never subnormal)
         rr = np.arange(1.0, 17.0) * ((top - lo) / 17)[:, None] + lo[:, None]
-        f = _first_exit(domain, tiled, ring, rr, np.zeros(rr.shape, bool), 8)
+        f = _first_exit(domain, centers[rows], rings, plane[rows], rr,
+                        np.zeros(rr.shape, bool), 8)
+        at = np.arange(rows.size)
         top = np.where(f < 16, rr[at, np.minimum(f, 15)], top)
         lo = np.where(f < 16, np.where(f > 0, rr[at, f - 1], lo), rr[:, -1])
-    radius[rows[keep]], hi[rows[keep]] = lo, top
+    radius[rows], hi[rows] = lo, top
     return radius, hi
 
 
@@ -219,25 +265,92 @@ def _certified_disc_radius(domain, center, u, w, spec) -> float:
     return lo
 
 
-def metric_upper_bound(
-    domain: ImplicitDomain,
-    p: np.ndarray,
-    v: np.ndarray,
-    spec: Optional[DiscSearchSpec] = None,
-) -> MetricEstimate:
-    """Best 1/r over flat discs through p with automorphism reparametrization.
+# the score and radius of an offset that cannot improve its search
+_BEATEN = (-math.inf, math.nan)
 
-    Searches plane orientations containing v, in-plane center offsets, and
-    disc radii (coarse grids with golden refinement). The returned bound is
-    always an upper bound for the pseudometric; the witnessing disc is
-    containment-checked on its boundary circle and an interior polar
-    lattice. Complete over plane orientations in R^3; in higher dimensions
-    the orientation set is a sampled subfamily, so bounds remain valid but
-    may be looser.
+
+class _Solve(NamedTuple):
+    """Radius solves a search asks for (see ``_disc_radii``): centers (B, n),
+    a (P, A, n) table of unit rings with a plane index per row, and per row
+    the score to beat and the squared offset."""
+
+    centers: np.ndarray
+    rings: np.ndarray
+    plane: np.ndarray
+    beat: np.ndarray
+    a2: np.ndarray
+
+
+def _merge(solves):
+    """One solve holding the rows of all, in order, with the planes renumbered."""
+    if len(solves) == 1:
+        return solves[0]
+    shift = np.cumsum([0] + [len(s.rings) for s in solves[:-1]])
+    solves = [s._replace(plane=s.plane + k) for s, k in zip(solves, shift)]
+    return _Solve(*map(np.concatenate, zip(*solves)))
+
+
+def _lockstep(searches):
+    """Run search generators side by side and return their values in order.
+
+    A search yields a ``_Solve`` and is sent the radii of its rows. Each
+    round merges the solves of every live search into one, yields it, and
+    sends each search its own rows of the answer, so a lockstep is itself a
+    search and nests with ``yield from``.
     """
-    spec = spec or DiscSearchSpec()
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    searches = list(searches)
+    values = [None] * len(searches)
+    answers = dict.fromkeys(range(len(searches)))
+    while True:
+        asks = {}
+        for i, answer in answers.items():
+            try:
+                asks[i] = searches[i].send(answer)
+            except StopIteration as stop:
+                values[i] = stop.value
+        if not asks:
+            return values
+        radii = yield _merge(list(asks.values()))
+        cuts = np.cumsum([len(s.centers) for s in asks.values()])[:-1]
+        answers = dict(zip(asks, np.split(radii, cuts)))
+
+
+def _golden_search(fn, lo, hi, iters):
+    """``_golden_max`` as a search: fn(x) is a search whose value is the
+    function's at x, and the two opening points run in lockstep."""
+    golden = _golden_points(lo, hi, iters)
+    points = next(golden)
+    while True:
+        values = yield from _lockstep(fn(x) for x in points)
+        try:
+            points = golden.send(values)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _solve_all(domain, spec, search):
+    """Run a search to its value, answering each solve with one
+    ``_disc_radii`` call."""
+    radii = None
+    while True:
+        try:
+            ask = search.send(radii)
+        except StopIteration as stop:
+            return stop.value
+        radii = _disc_radii(domain, ask.centers, ask.rings, spec, ask.plane, ask.beat, ask.a2)[0]
+
+
+def _caught(search):
+    """The search, with the error it raises, if any, as its value."""
+    try:
+        return (yield from search)
+    except Exception as exc:
+        return exc
+
+
+def _search(domain, p, v, spec):
+    """The disc search of one pair (p, v), as a search generator (see
+    ``_lockstep``) whose value is its ``MetricEstimate``."""
     if float(domain.phi(p)) >= 0.0:
         raise OutsideDomainError(f"base point {p.tolist()} is not inside the domain")
     vnorm = float(np.linalg.norm(v))
@@ -254,6 +367,14 @@ def metric_upper_bound(
         w = math.cos(theta) * pair[0] + math.sin(theta) * pair[1]
         return w, _circle_ring(vhat, w, spec.lattice_angles)
 
+    def centers(w, offsets):
+        """The disc centers p + s1 vhat + s2 w of in-plane offsets s1 + i s2."""
+        z = np.asarray(offsets, dtype=complex)
+        return p + z.real[:, None] * vhat + z.imag[:, None] * w
+
+    def witness(w, s, radius):
+        return DiscWitness(center=centers(w, [complex(*s)])[0], radius=radius, u=vhat, w=w)
+
     pairs = [(comp[0], comp[1])]
     if n > 3:
         for _ in range(max(0, spec.orientations - 2)):
@@ -266,61 +387,60 @@ def metric_upper_bound(
             second /= np.linalg.norm(second)
             pairs.append((raw, second))
 
-    def evaluate(plane, offsets, refine=False):
-        """(1/bound, witness, |offset|) at each in-plane offset, unrefined in one batch."""
-        w, ring = plane
-        s = np.asarray(offsets, dtype=float)
-        q = p + s[:, :1] * vhat + s[:, 1:] * w
-        if refine:
-            radii = [_certified_disc_radius(domain, c, vhat, w, spec) for c in q]
-        else:
-            radii = _disc_radii(domain, q, ring, spec)[0]
+    def evaluate(at, offsets, beat):
+        """(1/bound, radius) at each in-plane offset s1 + i s2, in one solve;
+        ``_BEATEN`` where that does not beat ``beat``, as for a disc that is
+        degenerate or was dropped as unable to."""
+        w, ring = at
+        z = np.asarray(offsets, dtype=complex)
+        radii = yield _Solve(centers(w, z), ring[None], np.zeros(len(z), dtype=int),
+                             np.full(len(z), beat), z.real * z.real + z.imag * z.imag)
         out = []
-        for (s1, s2), center, radius in zip(offsets, q, radii):
-            a = math.hypot(s1, s2)
-            if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
-                out.append((-np.inf, None, a))
-            else:
-                wit = DiscWitness(center=center, radius=radius, u=vhat, w=w)
-                out.append(((radius * radius - a * a) / radius, wit, a))
+        for s, radius in zip(offsets, radii.tolist()):
+            a = math.hypot(s.real, s.imag)
+            good = radius > a * (1.0 + 1e-12) and radius > 0.0  # false for NaN
+            score = (radius * radius - a * a) / radius if good else -np.inf
+            out.append((score, radius) if score > beat else _BEATEN)
         return out
 
-    def offset_search(theta: float, pair, s0=(0.0, 0.0), coarse=True):
-        """Pattern search for the best in-plane center offset."""
+    def offset_search(at, s0=(0.0, 0.0), coarse=True):
+        """Pattern search for the best in-plane center offset: (1/bound, radius, offset)."""
         s1, s2 = s0
-        at = plane(theta, pair)
-        r, wit, a = evaluate(at, [(s1, s2)])[0]
+        ((r, radius),) = yield from evaluate(at, [complex(s1, s2)], -np.inf)
         if not np.isfinite(r):
             return -np.inf, None, (s1, s2)
-        step = 0.25 * (wit.radius if wit else 1.0)
-        floor = 1e-4 * max(1.0, wit.radius if wit else 1.0)
+        step = 0.25 * radius
+        floor = 1e-4 * max(1.0, radius)
         if coarse:
             floor = 10.0 * floor
         h = 0.7071067811865476
         dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
         dirs += [(h, h), (h, -h), (-h, h), (-h, -h)]
-        seen = {(s1, s2): (r, wit, a)}  # the search often steps back to an offset
+        # every offset scored so far, as s1 + i s2: the search often steps
+        # back to one. An offset that did not beat r stays _BEATEN, as r never
+        # falls and only a gain is read back.
+        seen = {complex(s1, s2): (r, radius)}
         while step > floor:
             # all eight neighbours in one batch; the first in dirs order that improves wins
-            trial = [(s1 + step * dx, s2 + step * dy) for dx, dy in dirs]
-            fresh = [s_c for s_c in dict.fromkeys(trial) if s_c not in seen]
+            trial = [complex(s1 + step * dx, s2 + step * dy) for dx, dy in dirs]
+            fresh = [z for z in dict.fromkeys(trial) if z not in seen]
             if fresh:
-                seen.update(zip(fresh, evaluate(at, fresh)))
-            gain = next((s_c for s_c in trial if seen[s_c][0] > r), None)
+                seen.update(zip(fresh, (yield from evaluate(at, fresh, r))))
+            gain = next((z for z in trial if seen[z][0] > r), None)
             if gain is None:
                 step *= 0.5
             else:
-                (r, wit, _), (s1, s2) = seen[gain], gain
-        return r, wit, (s1, s2)
+                (r, radius), s1, s2 = seen[gain], gain.real, gain.imag
+        return r, radius, (s1, s2)
 
-    best_r = -np.inf
-    best = None  # (theta, pair, witness, (s1, s2))
     thetas = [math.pi * k / spec.orientations for k in range(spec.orientations)]
-    for pair in pairs:
-        for theta in thetas:
-            r, wit, s = offset_search(theta, pair, coarse=True)
-            if r > best_r:
-                best_r, best = r, (theta, pair, wit, s)
+    planes = [(theta, pair, plane(theta, pair)) for pair in pairs for theta in thetas]
+    coarse = yield from _lockstep(offset_search(at) for _, _, at in planes)
+    best_r = -np.inf
+    best = None  # (theta, pair, plane, radius, (s1, s2))
+    for (theta, pair, at), (r, radius, s) in zip(planes, coarse):
+        if r > best_r:
+            best_r, best = r, (theta, pair, at, radius, s)
 
     if best is None or best_r <= 0.0:
         return MetricEstimate(
@@ -332,24 +452,35 @@ def metric_upper_bound(
             containment_checked=False,
         )
 
-    theta_b, pair_b, wit_b, s_b = best
+    theta_b, pair_b, at, radius, s_b = best
+    wit_b = witness(at[0], s_b, radius)
 
-    # orientation refinement with warm-started offset searches
+    def refined(theta):
+        return (yield from offset_search(plane(theta, pair_b), s0=s_b))[0]
+
+    # orientation refinement with warm-started offset searches, one after
+    # another but for the opening two
     iters = int(math.log(math.pi / spec.angle_tol) / math.log(1.0 / _GOLDEN))
-    theta_b, _ = _golden_max(
-        lambda theta: offset_search(theta, pair_b, s0=s_b, coarse=True)[0],
+    theta_b, _ = yield from _golden_search(
+        refined,
         theta_b - math.pi / spec.orientations,
         theta_b + math.pi / spec.orientations,
         max(spec.golden_iters, iters),
     )
-    _, wit_b2, s_b = offset_search(theta_b, pair_b, s0=s_b, coarse=False)
-    if wit_b2 is not None:
-        wit_b = wit_b2
+    at = plane(theta_b, pair_b)
+    _, radius, s_b = yield from offset_search(at, s0=s_b, coarse=False)
+    if radius is not None:
+        wit_b = witness(at[0], s_b, radius)
 
     # final certified disc: refined circle maximum plus interior lattice
-    _, wit_fin, a_b = evaluate(plane(theta_b, pair_b), [s_b], refine=True)[0]
-    if wit_fin is None:
-        wit_fin, a_b = wit_b, math.hypot(*s_b)
+    w = at[0]
+    center = centers(w, [complex(*s_b)])[0]
+    radius = _certified_disc_radius(domain, center, vhat, w, spec)
+    a_b = math.hypot(*s_b)
+    if radius <= a_b * (1.0 + 1e-12) or radius <= 0.0:
+        wit_fin = wit_b
+    else:
+        wit_fin = DiscWitness(center=center, radius=radius, u=vhat, w=w)
     radius = wit_fin.radius
     for _ in range(60):
         disc = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
@@ -371,6 +502,57 @@ def metric_upper_bound(
         containment_checked=True,
         exact_on_ball=(domain.name == "sphere"),
     )
+
+
+def metric_upper_bound(
+    domain: ImplicitDomain,
+    p: np.ndarray,
+    v: np.ndarray,
+    spec: Optional[DiscSearchSpec] = None,
+) -> MetricEstimate | tuple[MetricEstimate, ...]:
+    """Best 1/r over flat discs through p with automorphism reparametrization.
+
+    Searches plane orientations containing v, in-plane center offsets, and
+    disc radii. A pattern search per orientation finds the best center
+    offset; the best orientation is then refined by a golden-section search
+    over the plane angle, each step a warm-started pattern search, and a last
+    finer pattern search. All searches that do not wait on one another run
+    in lockstep, sharing each batched radius solve: the coarse orientations
+    together, the two opening points of the golden refinement together (the
+    later ones follow one another), and, for stacks, all pairs of a group of
+    ``LOCKSTEP_PAIRS``. A candidate offset whose radius bracket already shows
+    that it cannot beat its search's best is dropped before its bracket is
+    narrowed. The result is bit-identical to searching one pair and one
+    offset at a time.
+
+    The returned bound is always an upper bound for the pseudometric; the
+    witnessing disc is containment-checked, pair by pair, on its boundary
+    circle and an interior polar lattice. Complete over plane orientations in
+    R^3; in higher dimensions the orientation set is a sampled subfamily, so
+    bounds remain valid but may be looser.
+
+    ``p`` and ``v`` of shape (n,) give one ``MetricEstimate``; stacks of
+    shape (B, n) give a tuple of B. An error of a stack is the one the first
+    failing pair raises, with ``pair`` set to that pair's index and
+    ``estimates`` to the estimates of the pairs before it.
+    """
+    spec = spec or DiscSearchSpec()
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if p.shape != v.shape:
+        raise ValueError(f"point shape {p.shape} and direction shape {v.shape} differ")
+    if p.ndim == 1:
+        return _solve_all(domain, spec, _search(domain, p, v, spec))
+    estimates = []
+    for k in range(0, len(p), LOCKSTEP_PAIRS):
+        group = (_caught(_search(domain, *pv, spec))
+                 for pv in zip(p[k:k + LOCKSTEP_PAIRS], v[k:k + LOCKSTEP_PAIRS]))
+        for est in _solve_all(domain, spec, _lockstep(group)):
+            if isinstance(est, Exception):
+                est.pair, est.estimates = len(estimates), tuple(estimates)
+                raise est
+            estimates.append(est)
+    return tuple(estimates)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,22 @@ def test_metric_seeded_determinism():
     assert a == b
 
 
+def test_metric_failure_keeps_the_records_before_it(tmp_path):
+    # pair 1 of this draw lies outside the ball: pair 0 is reported, then the
+    # failure; the config record between meta and pair 0 echoes the file
+    data = dict(kind="metric", seed=2, domain={"name": "sphere"},
+                metric={"pairs": 4, "max_radius": 1.5})
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["metric", "--config", write_cfg(tmp_path, data), "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert lines[0] == '{"record":"meta","tool":"mconvex","version":"0.1.0","kind":"metric","seed":2}'
+    assert lines[2:] == [
+        '{"record":"check","name":"pair-0","value":1.0001329401796761,"threshold":1.01,"passed":true,"location":[0.56473583234554292,0.35903140271026679,-0.10211545410507374,0.27298068055600477,-0.75481445484455545,-0.59643665782788446],"detail":"bound 1.3627363 vs exact 1.3625551"}',
+        '{"record":"failure","message":"OutsideDomainError: base point [-0.42150233363675704, -0.44629567274297105, -1.0751398080589154] is not inside the domain"}',
+        '{"record":"summary","verdict":"error","checks":1,"failed":0}',
+    ]
+
+
 def test_omega_d_pipeline():
     cfg = config.validate(
         {

@@ -11,7 +11,11 @@ search of the disc search. Every kernel row must match its reference within
 1e-12 * (1 + |reference|); the warm-started level bisection must keep the
 same rays and levels and locate its points within 1e-12 of the cold ones;
 the sweep, the integration, the reach estimate, the census, the catenoid
-jets and the disc search must match exactly.
+jets and the disc search must match exactly. The lockstep disc search is
+also checked against itself: radii solved with per-row planes and with
+candidates dropped as unable to win must equal those solved one plane at a
+time without dropping (and a dropped row must truly not win), and a stack
+of pairs must give, bit for bit, the estimates of one pair at a time.
 """
 
 import importlib.util
@@ -663,6 +667,69 @@ def test_metric_upper_bound_matches_sequential_search(name, seed):
     assert (est.bound, est.offset, est.witness.radius) == (bound, offset, radius)
     assert np.array_equal(est.witness.center, wit.center)
     assert np.array_equal(est.witness.w, wit.w)
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid"])
+def test_pruned_disc_radii_are_sound(name):
+    domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
+    spec = hyperbolicity.DiscSearchSpec()
+    rng = np.random.default_rng(23)
+    rings = []
+    for normal in rng.standard_normal((3, 3)):
+        u, w = numkit.orthonormal_complement(normal / np.linalg.norm(normal))
+        rings.append(hyperbolicity._circle_ring(u, w, spec.lattice_angles))
+    rings = np.stack(rings)
+    centers = rng.uniform(-0.5, 0.5, (30, 3))
+    plane = rng.integers(0, len(rings), len(centers))
+    a2 = rng.uniform(0.0, 0.2, len(centers))
+    radius, top = hyperbolicity._disc_radii(domain, centers, rings, spec, plane)
+    # per-row planes round as one plane at a time
+    for k, ring in enumerate(rings):
+        rows = plane == k
+        alone = hyperbolicity._disc_radii(domain, centers[rows], ring, spec)
+        assert np.array_equal(alone[0], radius[rows])
+        assert np.array_equal(alone[1], top[rows], equal_nan=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.where(radius > 0.0, (radius * radius - a2) / radius, -np.inf)
+    # just below its score a row cannot be dropped; at or above it, it may be
+    beat = score + np.tile([-1e-9, 0.0, 0.05, 0.5, -0.05], 6) * (1.0 + np.abs(score))
+    beat[7] = -np.inf
+    got, got_top = hyperbolicity._disc_radii(domain, centers, rings, spec, plane, beat, a2)
+    dropped = np.isnan(got)
+    assert dropped.any() and not dropped[7]
+    assert np.array_equal(got[~dropped], radius[~dropped])
+    assert np.array_equal(got_top[~dropped], top[~dropped], equal_nan=True)
+    assert np.all(score[dropped] <= beat[dropped])
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid"])
+def test_stacked_metric_matches_per_pair(name):
+    domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal((6, 3))
+    p = rng.standard_normal((6, 3))
+    p *= (0.9 * rng.uniform(size=6) ** (1.0 / 3.0) / np.linalg.norm(p, axis=1))[:, None]
+    stack = hyperbolicity.metric_upper_bound(domain, p, v)
+    assert isinstance(stack, tuple) and len(stack) == 6
+    for est, pi, vi in zip(stack, p, v):
+        one = hyperbolicity.metric_upper_bound(domain, pi, vi)
+        assert (est.bound, est.offset, est.witness.radius) == (
+            one.bound, one.offset, one.witness.radius)
+        for field in ("center", "u", "w"):
+            assert np.array_equal(getattr(est.witness, field), getattr(one.witness, field))
+
+
+def test_stacked_metric_error_names_first_failing_pair():
+    ball = surfaces.sphere()
+    p = np.array([[0.1, 0.2, 0.0], [2.0, 0.0, 0.0], [0.0, 0.3, 0.1], [0.0, 0.0, 0.0]])
+    v = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(hyperbolicity.OutsideDomainError) as info:
+        hyperbolicity.metric_upper_bound(ball, p, v)
+    assert info.value.pair == 1
+    (first,) = info.value.estimates
+    assert first.bound == hyperbolicity.metric_upper_bound(ball, p[0], v[0]).bound
+    with pytest.raises(ValueError, match="shape"):
+        hyperbolicity.metric_upper_bound(ball, p, v[0])
 
 
 # ---------------------------------------------------------------------------
