@@ -378,13 +378,10 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
 
 def _run_omega_d(cfg: AnalysisConfig, report: Report) -> None:
     dom = hyperbolicity.SLICES[cfg.params["slice"]]()
-    p = np.asarray(cfg.params["p"], dtype=float)
-    q = np.asarray(cfg.params["q"], dtype=float)
     prev = np.inf
-    last = np.inf
     monotone = True
     for k in cfg.params["ks"]:
-        cb = hyperbolicity.omega_d_distance_chain(dom, p, q, int(k))
+        cb = hyperbolicity.omega_d_distance_chain(dom, cfg.params["p"], cfg.params["q"], k)
         monotone = monotone and cb.total <= prev + 1e-12
         report.add(
             CheckRecord(
@@ -395,11 +392,10 @@ def _run_omega_d(cfg: AnalysisConfig, report: Report) -> None:
             )
         )
         prev = cb.total
-        last = cb.total
     report.add(
         CheckRecord(
-            "degeneration", last, cfg.params["threshold"],
-            monotone and last < cfg.params["threshold"],
+            "degeneration", prev, cfg.params["threshold"],
+            monotone and prev < cfg.params["threshold"],
             detail="bound at the largest k must fall below the threshold",
         )
     )
@@ -408,18 +404,13 @@ def _run_omega_d(cfg: AnalysisConfig, report: Report) -> None:
 def _run_convex(cfg: AnalysisConfig, report: Report) -> None:
     rng = np.random.default_rng(cfg.seed)
     for fx in cfg.params["fixtures"]:
-        h = hyperbolicity.HalfspaceIntersection(
-            normals=np.asarray(fx["normals"], dtype=float),
-            constants=np.asarray(fx["constants"], dtype=float),
-            interior_point=np.asarray(fx["interior"], dtype=float),
-        )
+        h = hyperbolicity.HalfspaceIntersection(fx["normals"], fx["constants"], fx["interior"])
         contains, rank, witness = hyperbolicity.convex_contains_2plane(h)
-        n = np.atleast_2d(h.normals).shape[1]
         expected = fx["contains_plane"]
         report.add(
             CheckRecord(
                 f"{fx['name']}:rank", float(rank), None, True,
-                detail=f"dimension {n}; contains 2-plane: {contains}",
+                detail=f"dimension {h.normals.shape[1]}; contains 2-plane: {contains}",
             )
         )
         if expected is not None:
@@ -430,14 +421,8 @@ def _run_convex(cfg: AnalysisConfig, report: Report) -> None:
                 )
             )
         if contains and witness is not None:
-            probes = 64
-            angles = 2.0 * np.pi * np.arange(probes) / probes
-            ring = (
-                witness.base[None, :]
-                + 1e6 * np.cos(angles)[:, None] * witness.span[0][None, :]
-                + 1e6 * np.sin(angles)[:, None] * witness.span[1][None, :]
-            )
-            inside = all(h.contains(row) for row in ring)
+            ring = hyperbolicity.plane_ring(witness.base, witness.span, 1e6, 64)
+            inside = bool(np.all(h.contains(ring)))
             report.add(
                 CheckRecord(
                     f"{fx['name']}:witness-contained", float(inside), 1.0, inside,

@@ -42,7 +42,9 @@ class Key:
     on a number or a list's length; ``choices`` may map each allowed value to
     the rows it brings; ``item`` (a Key, or a record of rows) checks list
     entries; ``given_with`` names a key required whenever this one is given;
-    ``holds`` is a (predicate, message) pair the checked value must satisfy.
+    ``holds`` is a (predicate, message) pair the checked value must satisfy:
+    the predicate returns True, or else False or the (path suffix, value) of
+    the part at fault.
     """
 
     type: type
@@ -58,8 +60,8 @@ POSITIVE, NONNEGATIVE, COUNT = "(0, inf)", "[0, inf)", "[1, inf)"
 _N = surfaces.AMBIENT_DIM
 
 
-def _vector(default=REQUIRED, given_with=None) -> Key:
-    return Key(list, default, f"[{_N}, {_N}]", item=Key(float), given_with=given_with)
+def _vector(default=REQUIRED, **rules) -> Key:
+    return Key(list, default, f"[{_N}, {_N}]", item=Key(float), **rules)
 
 
 # m of an m-convex domain in R^n: the curvature-sum and plurisubharmonicity order
@@ -94,11 +96,28 @@ _MAP_TYPES = {
 
 _FIXTURE = {
     "name": Key(str),
-    "normals": Key(list, item=Key(list, item=Key(float))),
+    "normals": Key(list, range=COUNT, item=Key(list, item=Key(float))),
     "constants": Key(list, item=Key(float)),
-    "interior": Key(list, item=Key(float)),
+    # a 2-plane needs two dimensions
+    "interior": Key(list, range="[2, inf)", item=Key(float)),
     "contains_plane": Key(bool, None),
 }
+
+
+def _fixture_shapes(fixtures):
+    """True, or the field of the first fixture off the k x n normals, k
+    constants and n interior shapes, n being the first normal's length."""
+    for i, fx in enumerate(fixtures):
+        k, n = len(fx["normals"]), len(fx["normals"][0])
+        for field, fits in (("normals", all(len(row) == n for row in fx["normals"])),
+                            ("interior", len(fx["interior"]) == n),
+                            ("constants", len(fx["constants"]) == k)):
+            if not fits:
+                return f"[{i}].{field}", fx[field]
+    return True
+
+
+_IN_SLICE = (lambda x: x[2] == 0.0, "must lie in the z = 0 slice")
 
 # the rows of each kind; a row's last path component names its ``params`` entry
 _KINDS = {
@@ -123,12 +142,13 @@ _KINDS = {
     },
     "omega-d": {
         "omega_d.slice": Key(str, "punctured-plane", choices=tuple(hyperbolicity.SLICES)),
-        "omega_d.p": _vector([0.0, 0.0, 0.0]),
-        "omega_d.q": _vector([1.0, 0.0, 0.0]),
-        "omega_d.ks": Key(list, [10, 100, 1000, 10000], COUNT, item=Key(int, range=COUNT)),
+        "omega_d.p": _vector([0.0, 0.0, 0.0], holds=_IN_SLICE),
+        "omega_d.q": _vector([1.0, 0.0, 0.0], holds=_IN_SLICE),
+        "omega_d.ks": Key(list, [10, 100, 1000, 10000], COUNT, item=Key(int, range="[2, inf)")),
         "omega_d.threshold": Key(float, 0.01, POSITIVE),
     },
-    "convex-classify": {"convex.fixtures": Key(list, REQUIRED, COUNT, item=_FIXTURE),
+    "convex-classify": {"convex.fixtures": Key(list, REQUIRED, COUNT, item=_FIXTURE, holds=(
+                            _fixture_shapes, "normals must be k x n, constants k and interior n")),
                         "convex.trials": Key(int, 10000, COUNT)},
 }
 
@@ -276,8 +296,10 @@ def _value(path: str, key: Key, value):
         value = [_value(f"{path}[{i}]", key.item, v) for i, v in enumerate(value)]
     elif key.item is not None:
         value = [_record(key.item, v, f"{path}[{i}].") for i, v in enumerate(value)]
-    if key.holds is not None and not key.holds[0](value):
-        raise ConfigError(path, f"{key.holds[1]}, got {value!r}")
+    fault = True if key.holds is None else key.holds[0](value)
+    if fault is not True:
+        part, value = fault or ("", value)
+        raise ConfigError(path + part, f"{key.holds[1]}, got {value!r}")
     return value
 
 

@@ -563,27 +563,26 @@ def metric_upper_bound(
 class OmegaD:
     """The domain {|z| < 1, z^2 (x^2 + y^2) < 1, (x, y) in D when z = 0}.
 
-    ``membership`` decides the planar slice D; ``omitted_points`` document
-    points of the plane that D avoids (evidence for slice parabolicity when
-    claiming weak hyperbolicity, recorded but not decided numerically).
+    ``membership(x, y)`` decides the planar slice D elementwise: coordinate
+    arrays in, a boolean array of their broadcast shape out. ``omitted_points``
+    document points of the plane that D avoids (evidence for slice
+    parabolicity when claiming weak hyperbolicity, recorded but not decided
+    numerically).
     """
 
-    membership: Callable[[float, float], bool]
+    membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
     omitted_points: tuple = ()
     name: str = "omega-d"
 
 
-def omega_d_membership(dom: OmegaD, x: np.ndarray) -> bool:
-    """Exact evaluation of the three defining clauses."""
+def omega_d_membership(dom: OmegaD, x: np.ndarray):
+    """Exact evaluation of the three defining clauses on (..., 3) points:
+    a (...) boolean array, or one bool for a (3,) point."""
     x = np.asarray(x, dtype=float)
-    px, py, pz = float(x[0]), float(x[1]), float(x[2])
-    if not abs(pz) < 1.0:
-        return False
-    if not pz * pz * (px * px + py * py) < 1.0:
-        return False
-    if pz == 0.0 and not dom.membership(px, py):
-        return False
-    return True
+    px, py, pz = x[..., 0], x[..., 1], x[..., 2]
+    inside = (np.abs(pz) < 1.0) & (pz * pz * (px * px + py * py) < 1.0)
+    inside &= (pz != 0.0) | dom.membership(px, py)
+    return inside if inside.ndim else bool(inside)
 
 
 def planar_disc(radius: float = 2.0, center=(0.0, 0.0)) -> OmegaD:
@@ -597,15 +596,18 @@ def planar_disc(radius: float = 2.0, center=(0.0, 0.0)) -> OmegaD:
 
 def punctured_plane(points=((0.5, 5.0), (-3.0, -4.0))) -> OmegaD:
     pts = tuple((float(a), float(b)) for a, b in points)
+    qx, qy = np.array(pts).reshape(-1, 2).T
     return OmegaD(
-        membership=lambda x, y: all((x, y) != q for q in pts),
+        membership=lambda x, y: np.all(
+            (np.expand_dims(x, -1) != qx) | (np.expand_dims(y, -1) != qy), axis=-1),
         omitted_points=pts,
         name="twice-punctured-plane-slice",
     )
 
 
 def full_plane() -> OmegaD:
-    return OmegaD(membership=lambda x, y: True, name="full-plane-slice")
+    return OmegaD(membership=lambda x, y: np.ones(np.broadcast(x, y).shape, dtype=bool),
+                  name="full-plane-slice")
 
 
 # the slices a config can name
@@ -656,8 +658,7 @@ def omega_d_distance_chain(
     The vertical discs shrink adaptively until they fit in the domain;
     below ``min_radius`` the construction fails.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if k < 2:
         raise ValueError("k must be at least 2")
     for name, pt in (("p", p), ("q", q)):
@@ -670,7 +671,6 @@ def omega_d_distance_chain(
 
     u = np.array([chord_direction[0], chord_direction[1], 0.0], dtype=float)
     u /= np.linalg.norm(u)
-    e3 = np.array([0.0, 0.0, 1.0])
 
     def fit_vertical(center: np.ndarray) -> float:
         radius = vertical_radius
@@ -683,26 +683,11 @@ def omega_d_distance_chain(
             f"{center.tolist()}"
         )
 
-    r_p = fit_vertical(p)
-    r_q = fit_vertical(q)
+    r_p, r_q = fit_vertical(p), fit_vertical(q)
     lift = 1.0 / k
-    vert_p = math.atanh(lift / r_p)
-    vert_q = math.atanh(lift / r_q)
-
-    zp = complex(p[0], p[1]) / k
-    zq = complex(q[0], q[1]) / k
-    horiz = poincare_distance(zp, zq)
-
-    total = vert_p + horiz + vert_q
-    return ChainBound(
-        k=k,
-        total=total,
-        vertical_p=vert_p,
-        horizontal=horiz,
-        vertical_q=vert_q,
-        radius_p=r_p,
-        radius_q=r_q,
-    )
+    vert_p, vert_q = math.atanh(lift / r_p), math.atanh(lift / r_q)
+    horiz = poincare_distance(complex(p[0], p[1]) / k, complex(q[0], q[1]) / k)
+    return ChainBound(k, vert_p + horiz + vert_q, vert_p, horiz, vert_q, r_p, r_q)
 
 
 def _vertical_disc_inside(dom: OmegaD, center, u, radius, rings=16, spokes=32) -> bool:
@@ -711,19 +696,14 @@ def _vertical_disc_inside(dom: OmegaD, center, u, radius, rings=16, spokes=32) -
     The z = 0 chord is checked densely against the slice membership; the
     global clauses are checked on a polar lattice.
     """
-    for t in np.linspace(-radius, radius, 65):
-        x = center[0] + t * u[0]
-        y = center[1] + t * u[1]
-        if not dom.membership(float(x), float(y)):
-            return False
-    rr = radius * (np.arange(1, rings + 1) / rings)
+    t = np.linspace(-radius, radius, 65)
+    if not np.all(dom.membership(center[0] + t * u[0], center[1] + t * u[1])):
+        return False
+    r = radius * (np.arange(1, rings + 1) / rings)[:, None]
     th = 2.0 * np.pi * np.arange(spokes) / spokes
-    for r in rr:
-        for t in th:
-            pt = center + r * math.cos(t) * u + np.array([0.0, 0.0, r * math.sin(t)])
-            if not omega_d_membership(dom, pt):
-                return False
-    return True
+    pts = center + (r * np.cos(th))[..., None] * u
+    pts[..., 2] += r * np.sin(th)
+    return bool(np.all(omega_d_membership(dom, pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +712,8 @@ def _vertical_disc_inside(dom: OmegaD, center, u, radius, rings=16, spokes=32) -
 
 @dataclass(frozen=True)
 class HalfspaceIntersection:
-    """The convex domain given by the inequalities (normals . x) < constants."""
+    """The convex domain {x : normals @ x < constants}: k x n normals, k
+    constants and an n-vector interior point, held as float arrays."""
 
     normals: np.ndarray
     constants: np.ndarray
@@ -740,23 +721,44 @@ class HalfspaceIntersection:
 
     def __post_init__(self):
         normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
+        constants = np.asarray(self.constants, dtype=float)
+        interior = np.asarray(self.interior_point, dtype=float)
+        if normals.ndim != 2 or constants.shape != normals.shape[:1] \
+                or interior.shape != normals.shape[1:]:
+            raise ValueError(
+                "normals must be k x n, constants k and the interior point n, got shapes "
+                f"{normals.shape}, {constants.shape} and {interior.shape}"
+            )
         if np.any(np.linalg.norm(normals, axis=1) < 1e-14):
             raise ValueError("halfspace normals must be nonzero")
-        vals = normals @ np.asarray(self.interior_point, dtype=float)
-        if np.any(vals >= np.asarray(self.constants, dtype=float)):
+        if np.any(normals @ interior >= constants):
             raise ValueError("claimed interior point violates a halfspace")
+        for name, value in zip(("normals", "constants", "interior_point"),
+                               (normals, constants, interior)):
+            object.__setattr__(self, name, value)
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(np.atleast_2d(self.normals) @ x < np.asarray(self.constants))
-        )
+    def contains(self, x: np.ndarray):
+        """Whether (..., n) points satisfy every inequality: a (...) boolean
+        array, or one bool for an (n,) point."""
+        inside = np.all(np.asarray(x, dtype=float) @ self.normals.T < self.constants, axis=-1)
+        return inside if inside.ndim else bool(inside)
 
 
 @dataclass(frozen=True)
 class PlaneWitness:
     base: np.ndarray
     span: np.ndarray  # (2, n) orthonormal
+
+
+def plane_ring(base: np.ndarray, span: np.ndarray, radius: float, probes: int) -> np.ndarray:
+    """``probes`` equally spaced points at ``radius`` around ``base`` in each
+    plane of a (..., 2, n) stack of orthonormal spans: shape (..., probes, n)."""
+    angles = 2.0 * np.pi * np.arange(probes) / probes
+    return (
+        base
+        + radius * np.cos(angles)[:, None] * span[..., None, 0, :]
+        + radius * np.sin(angles)[:, None] * span[..., None, 1, :]
+    )
 
 
 def convex_contains_2plane(h: HalfspaceIntersection):
@@ -767,17 +769,15 @@ def convex_contains_2plane(h: HalfspaceIntersection):
     exhibited. Conversely a contained plane forces every functional to be
     bounded above on it, hence to vanish on its direction space.
     """
-    normals = np.atleast_2d(np.asarray(h.normals, dtype=float))
-    n = normals.shape[1]
-    u, s, vt = np.linalg.svd(normals)
+    u, s, vt = np.linalg.svd(h.normals)
     rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    if rank <= n - 2:
-        kernel = vt[rank:]
-        witness = PlaneWitness(
-            base=np.asarray(h.interior_point, dtype=float), span=kernel[:2].copy()
-        )
-        return True, rank, witness
+    if rank <= h.normals.shape[1] - 2:
+        return True, rank, PlaneWitness(base=h.interior_point, span=vt[rank:rank + 2].copy())
     return False, rank, None
+
+
+# planes per batched QR and contains call; fixed, so memory stays flat for any trials
+ESCAPE_BLOCK = 256
 
 
 def plane_escape_trials(
@@ -788,21 +788,14 @@ def plane_escape_trials(
     probes: int = 16,
 ):
     """Randomized counterpart of the rank test: how many random 2-planes
-    through the interior point stay inside out to the given radius."""
-    n = np.atleast_2d(np.asarray(h.normals, dtype=float)).shape[1]
-    contained = 0
-    witness = None
-    for _ in range(trials):
-        frame = rng.standard_normal((n, 2))
-        qmat, _ = np.linalg.qr(frame)
-        span = qmat.T
-        angles = 2.0 * np.pi * np.arange(probes) / probes
-        ring = (
-            h.interior_point[None, :]
-            + radius * np.cos(angles)[:, None] * span[0][None, :]
-            + radius * np.sin(angles)[:, None] * span[1][None, :]
-        )
-        if all(h.contains(row) for row in ring):
-            contained += 1
-            witness = PlaneWitness(base=np.asarray(h.interior_point, dtype=float), span=span)
+    through the interior point stay inside out to the given radius, and the
+    span of the last one that does."""
+    contained, witness = 0, None
+    for start in range(0, trials, ESCAPE_BLOCK):
+        frames = rng.standard_normal((min(ESCAPE_BLOCK, trials - start), h.normals.shape[1], 2))
+        spans = np.swapaxes(np.linalg.qr(frames)[0], -1, -2)
+        inside = np.all(h.contains(plane_ring(h.interior_point, spans, radius, probes)), axis=-1)
+        contained += int(np.count_nonzero(inside))
+        if inside.any():
+            witness = PlaneWitness(base=h.interior_point, span=spans[np.flatnonzero(inside)[-1]])
     return contained, witness

@@ -79,6 +79,26 @@ SCHEMA_VIOLATIONS = [
     ("subharmonicity",
      with_section(SUBHARMONICITY_CFG, "subharmonicity", maps=[], negative_control=False), {},
      "subharmonicity.maps"),
+    ("omega-d", {"omega_d": {"ks": [1, 10]}}, {}, "omega_d.ks[0]"),
+    # endpoints off the z = 0 slice
+    ("omega-d", {}, {"MCONVEX_OMEGA_D__P": "[0,0,0.5]"}, "omega_d.p"),
+    ("omega-d", {"omega_d": {"q": [1.0, 0.0, -0.25]}}, {}, "omega_d.q"),
+    # fixtures off the documented k x n normals, k constants, n interior shapes
+    ("convex-classify", {"convex": {"fixtures": [
+        {**SLAB_FIXTURE, "normals": [[0.0, 0.0, 1.0]], "constants": [1.0, 5.0]}]}}, {},
+     "convex.fixtures[0].constants"),
+    ("convex-classify", {"convex": {"fixtures": [
+        SLAB_FIXTURE, {**SLAB_FIXTURE, "normals": [[0.0, 0.0, 1.0], [0.0, -1.0]]}]}}, {},
+     "convex.fixtures[1].normals"),
+    ("convex-classify", {"convex": {"fixtures": [
+        SLAB_FIXTURE, {**SLAB_FIXTURE, "interior": [0.0, 0.0]}]}}, {},
+     "convex.fixtures[1].interior"),
+    ("convex-classify", {"convex": {"fixtures": [
+        {**SLAB_FIXTURE, "normals": [], "constants": []}]}}, {},
+     "convex.fixtures[0].normals"),
+    ("convex-classify", {"convex": {"fixtures": [
+        {**SLAB_FIXTURE, "normals": [[1.0]], "constants": [1.0], "interior": [0.0]}]}}, {},
+     "convex.fixtures[0].interior"),
 ]
 
 

@@ -220,3 +220,35 @@ def test_interior_point_validated():
         hyp.HalfspaceIntersection(
             np.array([[0.0, 0.0, 1.0]]), np.array([-1.0]), np.zeros(3)
         )
+
+
+@pytest.mark.parametrize("normals, constants, interior", [
+    ([[0.0, 0.0, 1.0]], [1.0, 5.0], [0.0, 0.0, 0.0]),  # k = 1 normals, 2 constants
+    ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [1.0], [0.0, 0.0, 0.0]),
+    ([[0.0, 0.0, 1.0]], [1.0], [0.0, 0.0]),  # n = 3 normals, 2-vector interior
+    ([[0.0, 0.0, 1.0]], [[1.0]], [0.0, 0.0, 0.0]),
+    ([[[0.0, 0.0, 1.0]]], [1.0], [0.0, 0.0, 0.0]),
+], ids=["extra-constant", "missing-constant", "short-interior", "nested-constants",
+        "nested-normals"])
+def test_halfspace_shapes_validated(normals, constants, interior):
+    # batched containment would otherwise broadcast mismatched shapes silently
+    with pytest.raises(ValueError, match="k x n"):
+        hyp.HalfspaceIntersection(normals, constants, interior)
+
+
+def test_batched_containment_matches_points():
+    wedge = hyp.HalfspaceIntersection([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0],
+                                      [0.0, -1.0, -1.0])
+    pts = np.random.default_rng(3).standard_normal((4, 5, 3))
+    inside = wedge.contains(pts)
+    assert inside.shape == (4, 5)
+    assert inside.tolist() == [[wedge.contains(x) for x in row] for row in pts]
+    assert type(wedge.contains(pts[0, 0])) is bool
+
+    dom = hyp.punctured_plane()
+    pts = np.array([[0.5, 5.0, 0.0], [0.5, 5.0, 0.1], [0.5, 4.0, 0.0], [9.0, 0.0, 0.2]])
+    assert hyp.omega_d_membership(dom, pts).tolist() == [False, True, True, False]
+    assert type(hyp.omega_d_membership(dom, pts[0])) is bool
+    for make in hyp.SLICES.values():
+        x, y = np.zeros((2, 3)), np.ones((1, 3))
+        assert make().membership(x, y).shape == (2, 3)

@@ -16,6 +16,10 @@ also checked against itself: radii solved with per-row planes and with
 candidates dropped as unable to win must equal those solved one plane at a
 time without dropping (and a dropped row must truly not win), and a stack
 of pairs must give, bit for bit, the estimates of one pair at a time.
+The Omega_D and convex probes are checked against their per-point
+containment: the scalar membership and vertical-disc test must give the
+same membership and every ChainBound field bit for bit, and the per-trial
+escape loop the same count, witness span and generator state.
 """
 
 import importlib.util
@@ -869,6 +873,158 @@ def test_sweep_on_barrier_takes_one_jets_call():
     cm = cli.default_test_maps("sphere")[3]
     rep = discs.subharmonicity_sweep(bf, cm)
     assert calls == [rep.total] and rep.total == len(cm.grid())
+
+
+# ---------------------------------------------------------------------------
+# reference: per-point containment of the omega-d and convex probes
+
+
+def ref_omega_d_membership(dom, x):
+    x = np.asarray(x, dtype=float)
+    px, py, pz = float(x[0]), float(x[1]), float(x[2])
+    if not abs(pz) < 1.0:
+        return False
+    if not pz * pz * (px * px + py * py) < 1.0:
+        return False
+    if pz == 0.0 and not dom.membership(px, py):
+        return False
+    return True
+
+
+def ref_vertical_disc_inside(dom, center, u, radius, rings=16, spokes=32):
+    for t in np.linspace(-radius, radius, 65):
+        x = center[0] + t * u[0]
+        y = center[1] + t * u[1]
+        if not dom.membership(float(x), float(y)):
+            return False
+    rr = radius * (np.arange(1, rings + 1) / rings)
+    th = 2.0 * np.pi * np.arange(spokes) / spokes
+    for r in rr:
+        for t in th:
+            pt = center + r * math.cos(t) * u + np.array([0.0, 0.0, r * math.sin(t)])
+            if not ref_omega_d_membership(dom, pt):
+                return False
+    return True
+
+
+def ref_contains(h, x):
+    return bool(np.all(np.atleast_2d(h.normals) @ x < np.asarray(h.constants)))
+
+
+def ref_plane_escape_trials(h, trials, rng, radius=1e6, probes=16):
+    n = np.atleast_2d(np.asarray(h.normals, dtype=float)).shape[1]
+    contained = 0
+    witness = None
+    for _ in range(trials):
+        frame = rng.standard_normal((n, 2))
+        qmat, _ = np.linalg.qr(frame)
+        span = qmat.T
+        angles = 2.0 * np.pi * np.arange(probes) / probes
+        ring = (
+            h.interior_point[None, :]
+            + radius * np.cos(angles)[:, None] * span[0][None, :]
+            + radius * np.sin(angles)[:, None] * span[1][None, :]
+        )
+        if all(ref_contains(h, row) for row in ring):
+            contained += 1
+            witness = hyperbolicity.PlaneWitness(
+                base=np.asarray(h.interior_point, dtype=float), span=span)
+    return contained, witness
+
+
+# the scalar slice memberships the array ones replace, and two test slices
+REF_SLICES = {
+    "disc": lambda x, y: (x - 0.0) ** 2 + (y - 0.0) ** 2 < 4.0,
+    "punctured-plane": lambda x, y: all((x, y) != q for q in ((0.5, 5.0), (-3.0, -4.0))),
+    "plane": lambda x, y: True,
+    "thin-strip": lambda x, y: abs(y) < 1e-8,
+    "holed-plane": lambda x, y: (x + 0.5) ** 2 + y * y > 0.04,
+}
+TEST_SLICES = {name: REF_SLICES[name] for name in ("thin-strip", "holed-plane")}
+
+
+def chain_or_error(dom, p, q, k, chord):
+    try:
+        return hyperbolicity.omega_d_distance_chain(dom, p, q, k, chord_direction=chord)
+    except hyperbolicity.ChainError as err:
+        return str(err)
+
+
+def slice_domain(name):
+    if name in TEST_SLICES:
+        return hyperbolicity.OmegaD(membership=TEST_SLICES[name], name=name)
+    return hyperbolicity.SLICES[name]()
+
+
+@pytest.mark.parametrize("name", list(REF_SLICES))
+def test_omega_d_membership_matches_per_point(name):
+    # the punctures, the disc rim, the hole and the strip, on and off z = 0
+    xy = [(0.5, 5.0), (-3.0, -4.0), (2.0, 0.0), (0.0, 2.0), (1.2, 1.6), (-0.5, 0.2),
+          (-0.5, 0.0), (0.3, 1e-9), (0.3, 0.0), (9.0, -9.0)]
+    zs = [0.0, -0.0, 1e-3, -0.05, 0.2, 0.5, 0.999, 1.0, -1.5]
+    pts = np.array([[x, y, z] for x, y in xy for z in zs]).reshape(len(xy), len(zs), 3)
+    dom, ref_dom = slice_domain(name), hyperbolicity.OmegaD(membership=REF_SLICES[name])
+    got = hyperbolicity.omega_d_membership(dom, pts)
+    assert got.tolist() == [[ref_omega_d_membership(ref_dom, x) for x in row] for row in pts]
+    assert got.any() and not got.all()
+
+
+@pytest.mark.parametrize("name", list(REF_SLICES))
+def test_chain_matches_per_point_containment(name, monkeypatch):
+    p, q = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    ks, chords = (2, 3, 10, 100, 1000, 10000), ((1.0, 0.0), (0.6, 0.8), (0.0, 1.0))
+    dom = slice_domain(name)
+    got = [chain_or_error(dom, p, q, k, chord) for k in ks for chord in chords]
+    monkeypatch.setattr(hyperbolicity, "omega_d_membership", ref_omega_d_membership)
+    monkeypatch.setattr(hyperbolicity, "_vertical_disc_inside", ref_vertical_disc_inside)
+    ref_dom = hyperbolicity.OmegaD(membership=REF_SLICES[name], name=name)
+    ref = [chain_or_error(ref_dom, p, q, k, chord) for k in ks for chord in chords]
+    assert got == ref  # every ChainBound field, bit for bit, or the same ChainError
+    assert any(isinstance(bound, hyperbolicity.ChainBound) for bound in got)
+
+
+ESCAPE_FIXTURES = {
+    "slab": ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0], [0.0, 0.0, 0.0]),
+    "wedge": ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0], [0.0, -1.0, -1.0]),
+    "one-halfspace": ([[0.0, 0.0, 1.0]], [1.0], [0.0, 0.0, 0.0]),
+    "three-halfspaces": (np.eye(3), [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+    "zero-normals": (np.zeros((0, 3)), np.zeros(0), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("radius", [1e6, 2.0])
+@pytest.mark.parametrize("name", list(ESCAPE_FIXTURES))
+def test_escape_trials_match_per_trial_loop(name, radius):
+    h = hyperbolicity.HalfspaceIntersection(*ESCAPE_FIXTURES[name])
+    trials = 2 * hyperbolicity.ESCAPE_BLOCK + 37
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    count, witness = hyperbolicity.plane_escape_trials(h, trials, rng, radius=radius)
+    ref_count, ref_witness = ref_plane_escape_trials(h, trials, ref_rng, radius=radius)
+    assert count == ref_count
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (witness is None) == (ref_witness is None)
+    if witness is not None:
+        assert np.array_equal(witness.base, ref_witness.base)
+        assert np.array_equal(witness.span, ref_witness.span)
+    # a radius-2 ring leaves the slab for steep planes only: some trials in and some out
+    if (name, radius) == ("slab", 2.0):
+        assert 0 < count < trials
+
+
+def test_escape_trials_take_one_contains_call_per_block(monkeypatch):
+    h = hyperbolicity.HalfspaceIntersection(*ESCAPE_FIXTURES["wedge"])
+    calls = []
+    contains = hyperbolicity.HalfspaceIntersection.contains
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return contains(self, x)
+
+    monkeypatch.setattr(hyperbolicity.HalfspaceIntersection, "contains", counted)
+    count, _ = hyperbolicity.plane_escape_trials(h, 10000, np.random.default_rng(0))
+    assert count == 0
+    assert len(calls) <= math.ceil(10000 / hyperbolicity.ESCAPE_BLOCK)
+    assert sum(shape[0] for shape in calls) == 10000
 
 
 # ---------------------------------------------------------------------------
