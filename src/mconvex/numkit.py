@@ -271,6 +271,20 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
+def axis_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of a (..., n) array with n >= 2, shape (...).
+
+    Adds the columns left to right, which rounds exactly like ``np.sum(v,
+    axis=-1)`` for n < 8 (numpy adds longer rows pairwise), so
+    ``np.sqrt(axis_sum(v * v))`` rounds like ``np.linalg.norm(v, axis=-1)``;
+    several times faster on (N, 3) batches.
+    """
+    total = v[..., 0] + v[..., 1]
+    for j in range(2, v.shape[-1]):
+        total += v[..., j]
+    return total
+
+
 def orthonormal_complement(unit: np.ndarray) -> np.ndarray:
     """Rows form an orthonormal basis of the hyperplane orthogonal to ``unit``.
 

@@ -60,11 +60,11 @@ class ImplicitDomain:
     """A domain ``{phi < 0}`` with evaluable defining field and derivatives.
 
     ``phi`` accepts arrays of shape (..., n); ``grad`` and ``hess`` return
-    shapes (..., n) and (..., n, n). When analytic derivatives are not
-    supplied they fall back to centered differences and ``fd_fallback`` is
-    set. ``exact_sdf`` marks ``phi`` as the exact signed distance to the
-    boundary, in which case ``exact_projection`` must return the foot point,
-    distance, and multiplicity directly.
+    new arrays of shapes (..., n) and (..., n, n); the projection solver
+    overwrites the gradients it is handed. Missing analytic derivatives fall
+    back to centered differences and set ``fd_fallback``. ``exact_sdf`` marks
+    ``phi`` as the exact signed distance to the boundary, in which case
+    ``exact_projection`` must return the foot, distance and multiplicity.
     """
 
     def __init__(
@@ -273,10 +273,7 @@ def sphere(radius: float = 1.0) -> ImplicitDomain:
     r = float(radius)
 
     def phi(x):
-        # the squares added left to right round as np.linalg.norm(x, axis=-1)
-        # does, and several times faster on (N, 3) batches
-        sq = np.square(np.asarray(x, dtype=float))
-        return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2]) - r
+        return np.sqrt(numkit.axis_sum(np.square(np.asarray(x, dtype=float)))) - r
 
     def grad(x):
         nrm = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -480,10 +477,7 @@ def catenoid(scale: float = 1.0, z_extent: float = 1.2) -> ImplicitDomain:
     s = float(scale)
 
     def rho(x):
-        # rounds as np.linalg.norm(x[..., :2], axis=-1) does, and several
-        # times faster on (N, 3) batches
-        sq = np.square(np.asarray(x, dtype=float)[..., :2])
-        return np.sqrt(sq[..., 0] + sq[..., 1])
+        return np.sqrt(numkit.axis_sum(np.square(np.asarray(x, dtype=float)[..., :2])))
 
     def phi(x):
         x = np.asarray(x, dtype=float)

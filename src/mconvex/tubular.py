@@ -89,8 +89,10 @@ def _newton_to_surface(domain: ImplicitDomain, p: np.ndarray, reps: int = 2) -> 
     for _ in range(reps):
         val = domain.phi(p)[..., None]
         g = domain.grad(p)
-        gsq = np.maximum(np.sum(g * g, axis=-1, keepdims=True), 1e-300)
-        p = p - val * g / gsq
+        gsq = np.maximum(numkit.axis_sum(g * g), 1e-300)[..., None]
+        g *= val
+        g /= gsq
+        p = p - g
     return p
 
 
@@ -103,7 +105,7 @@ def _newton_polish(domain: ImplicitDomain, p: np.ndarray, xq: np.ndarray, ns: in
     dim = p.shape[-1]
     p2 = p.copy()
     g = domain.grad(p2)
-    mu = np.sum((xq - p2) * g, axis=-1) / np.maximum(np.sum(g * g, axis=-1), 1e-280)
+    mu = numkit.axis_sum((xq - p2) * g) / np.maximum(numkit.axis_sum(g * g), 1e-280)
     live = np.ones(len(p) // ns, dtype=bool)  # query points still being polished
     rows = slice(None)  # their candidate rows; a view while every point is live
     for _ in range(NEWTON_ITERS):
@@ -134,7 +136,7 @@ def _newton_polish(domain: ImplicitDomain, p: np.ndarray, xq: np.ndarray, ns: in
             delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
         delta = np.where(np.isfinite(delta), delta, 0.0)
         step = delta[:, :dim]
-        slen = np.linalg.norm(step, axis=-1, keepdims=True)
+        slen = np.sqrt(numkit.axis_sum(step * step))[:, None]
         step = step * np.minimum(1.0, 0.25 / np.maximum(slen, 1e-300))
         p2[rows] = q + step
         mu[rows] = m + np.clip(delta[:, dim], -0.25, 0.25)
@@ -166,61 +168,66 @@ def project_batch(
         return foot, np.asarray(delta, dtype=float), np.asarray(mult, dtype=float)
 
     nb, dim = x.shape
-    if warm_feet is not None:
-        ns = 1
-        p = np.asarray(warm_feet, dtype=float).reshape(nb, 1, dim).copy()
-    else:
-        seeds = domain.boundary_samples(STARTS)
-        ns = seeds.shape[0] + 1
-        p = np.empty((nb, ns, dim))
-        p[:, :-1, :] = seeds[None, :, :]
-        # first-order seed: one Newton step from the query point itself
-        p[:, -1, :] = _newton_to_surface(domain, x, reps=3)
-    p = p.reshape(nb * ns, dim)
-    xq = np.repeat(x, ns, axis=0)
+    # diverging starts overflow to inf and NaN; the ok mask below drops them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if warm_feet is not None:
+            ns = 1
+            warm = np.asarray(warm_feet, dtype=float).reshape(nb, dim)
+            p = _newton_to_surface(domain, warm, reps=3)
+        else:
+            # the boundary seeds are Newton-polished once for all points; the
+            # query point itself gets three Newton reps to seed, three to polish
+            seeds = _newton_to_surface(domain, domain.boundary_samples(STARTS), reps=3)
+            ns = seeds.shape[0] + 1
+            p = np.empty((nb, ns, dim))
+            p[:, :-1, :] = seeds[None, :, :]
+            p[:, -1, :] = _newton_to_surface(domain, x, reps=6)
+            p = p.reshape(nb * ns, dim)
+        xq = np.repeat(x, ns, axis=0)
 
-    p = _newton_to_surface(domain, p, reps=3)
-    # Damped tangential pulls: full steps oscillate near focal configurations.
-    damp = 0.6
-    active = np.arange(p.shape[0])
-    for _ in range(MAX_PULL_ITERS):
-        pa = p[active]
-        xa = xq[active]
-        g = domain.grad(pa)
-        gn = np.linalg.norm(g, axis=-1, keepdims=True)
-        unit = g / np.maximum(gn, 1e-300)
-        d = xa - pa
-        step = damp * (d - np.sum(d * unit, axis=-1, keepdims=True) * unit)
-        slen = np.linalg.norm(step, axis=-1, keepdims=True)
-        cap = 0.5 * (1.0 + np.linalg.norm(d, axis=-1, keepdims=True))
-        step = step * np.minimum(1.0, cap / np.maximum(slen, 1e-300))
-        p[active] = _newton_to_surface(domain, pa + step, reps=2)
-        moved = np.linalg.norm(step, axis=-1) >= 0.01 * TOL
-        active = active[moved]
-        if active.size == 0:
-            break
+        # Damped tangential pulls (full steps oscillate near focal configurations);
+        # the rows still moving stay contiguous in pa and xa until they stop
+        pa, xa, rows = p, xq, np.arange(len(p))
+        for _ in range(MAX_PULL_ITERS):
+            g = domain.grad(pa)
+            g /= np.maximum(np.sqrt(numkit.axis_sum(g * g)), 1e-300)[:, None]
+            d = xa - pa
+            step = d - numkit.axis_sum(d * g)[:, None] * g
+            step *= 0.6  # the damping
+            slen = np.sqrt(numkit.axis_sum(step * step))
+            cap = 0.5 * (1.0 + np.sqrt(numkit.axis_sum(d * d)))
+            step *= np.minimum(1.0, cap / np.maximum(slen, 1e-300))[:, None]
+            pa = _newton_to_surface(domain, pa + step, reps=2)
+            moved = np.sqrt(numkit.axis_sum(step * step)) >= 0.01 * TOL
+            if not moved.all():
+                p[rows[~moved]] = pa[~moved]
+                pa, xa, rows = pa[moved], xa[moved], rows[moved]
+                if rows.size == 0:
+                    break
+        p[rows] = pa
 
-    # Non-destructive: the polished candidate only replaces the pull result
-    # where it ends up strictly closer to the surface-optimality conditions.
-    p2 = _newton_polish(domain, p, xq, ns)
+        # Non-destructive: the polished candidate only replaces the pull result
+        # where it ends up strictly closer to the surface-optimality conditions.
+        p2 = _newton_polish(domain, p, xq, ns)
 
-    def residuals(cand):
-        phi_c = np.abs(domain.phi(cand))
-        g_c = domain.grad(cand)
-        gsq = np.maximum(np.sum(g_c * g_c, axis=-1), 1e-280)
-        d_c = xq - cand
-        tang_c = d_c - (np.sum(d_c * g_c, axis=-1) / gsq)[..., None] * g_c
-        return phi_c, np.linalg.norm(tang_c, axis=-1)
+        def residuals(cand):
+            phi_c = np.abs(domain.phi(cand))
+            g_c = domain.grad(cand)
+            gsq = np.maximum(numkit.axis_sum(g_c * g_c), 1e-280)
+            d_c = xq - cand
+            g_c *= (numkit.axis_sum(d_c * g_c) / gsq)[:, None]
+            d_c -= g_c
+            return phi_c, np.sqrt(numkit.axis_sum(d_c * d_c))
 
-    phi_a, tang_a = residuals(p)
-    phi_b, tang_b = residuals(p2)
+        phi_a, tang_a = residuals(p)
+        phi_b, tang_b = residuals(p2)
     take_b = (phi_b + tang_b) < (phi_a + tang_a)
     p = np.where(take_b[:, None], p2, p)
     phi_feet = np.where(take_b, phi_b, phi_a).reshape(nb, ns)
     tang_res = np.where(take_b, tang_b, tang_a).reshape(nb, ns)
 
     p = p.reshape(nb, ns, dim)
-    scale = 1.0 + np.linalg.norm(x, axis=-1)
+    scale = 1.0 + np.sqrt(numkit.axis_sum(x * x))
     ok = phi_feet <= 1e-9 * scale[:, None]
     ok &= tang_res <= 1e3 * TOL * scale[:, None]
     # only sharply converged critical points may witness extra nearest feet;
@@ -228,7 +235,7 @@ def project_batch(
     # best distance that would otherwise fake a multiplicity
     critical = ok & (tang_res <= 1e2 * TOL * scale[:, None])
 
-    dist = np.linalg.norm(x[:, None, :] - p, axis=-1)
+    dist = np.sqrt(numkit.axis_sum(np.square(x[:, None, :] - p)))
     dist_masked = np.where(ok, dist, np.inf)
     best_idx = np.argmin(dist_masked, axis=1)
     best = dist_masked[np.arange(nb), best_idx]

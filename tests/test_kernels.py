@@ -4,15 +4,20 @@ The reference functions below are the earlier per-point implementations,
 kept verbatim as oracles: a cyclic Jacobi eigensolver, the shape-operator
 loop of ``principal_curvatures``, the scalar barrier jets, the per-segment
 Weierstrass integration, the per-point composed Laplacian and
-subharmonicity sweep, the per-ray reach bisection, the per-point
+subharmonicity sweep, the pull loop of the cold projection over every
+start row with axis-wise norms, the per-ray reach bisection, the per-point
 nearest-foot census, the cold level bisection, the axis-norm catenoid
 radius, and the per-center disc radius and one-offset-at-a-time pattern
 search of the disc search. Every kernel row must match its reference within
 1e-12 * (1 + |reference|); the warm-started level bisection must keep the
 same rays and levels and locate its points within 1e-12 of the cold ones;
-the sweep, the integration, the reach estimate, the census, the catenoid
-jets and the disc search must match exactly. The lockstep disc search is
-also checked against itself: radii solved with per-row planes and with
+the sweep, the integration, the projection, the reach estimate, the census,
+the catenoid jets and the disc search must match exactly. The cold and warm
+projection (``test_projection_matches_reference_pull_loop``, the catenoid
+axis and the failing Scherk point) must give the reference's feet,
+distances and multiplicities bit for bit, and a point with no converged
+start the same ProjectionError. The lockstep disc search is also checked
+against itself: radii solved with per-row planes and with
 candidates dropped as unable to win must equal those solved one plane at a
 time without dropping (and a dropped row must truly not win), and a stack
 of pairs must give, bit for bit, the estimates of one pair at a time.
@@ -300,6 +305,190 @@ def test_distance_jet_hessian_matches_scalar_wrappers():
     for i, x in enumerate(pts):
         assert np.array_equal(tubular.hessian_delta(cat, x), hessians[i])
         assert np.array_equal(tubular.grad_delta(cat, x), jet.grad[i])
+
+
+# ---------------------------------------------------------------------------
+# cold projection: the pull loop over every start row
+
+
+def ref_newton_to_surface(domain, p, reps=2):
+    for _ in range(reps):
+        val = domain.phi(p)[..., None]
+        g = domain.grad(p)
+        gsq = np.maximum(np.sum(g * g, axis=-1, keepdims=True), 1e-300)
+        p = p - val * g / gsq
+    return p
+
+
+def ref_newton_polish(domain, p, xq, ns):
+    dim = p.shape[-1]
+    p2 = p.copy()
+    g = domain.grad(p2)
+    mu = np.sum((xq - p2) * g, axis=-1) / np.maximum(np.sum(g * g, axis=-1), 1e-280)
+    live = np.ones(len(p) // ns, dtype=bool)
+    rows = slice(None)
+    for _ in range(tubular.NEWTON_ITERS):
+        q, m, xr = p2[rows], mu[rows], xq[rows]
+        g = domain.grad(q)
+        h = domain.hess(q)
+        r1 = xr - q - m[:, None] * g
+        r2 = domain.phi(q)
+        jac = np.zeros((q.shape[0], dim + 1, dim + 1))
+        jac[:, :dim, :dim] = -np.eye(dim)[None, :, :] - m[:, None, None] * h
+        jac[:, :dim, dim] = -g
+        jac[:, dim, :dim] = g
+        jac[:, dim, dim] = 1e-14
+        rhs = np.concatenate([r1, r2[:, None]], axis=-1)
+        try:
+            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            with np.errstate(invalid="ignore"):
+                singular = np.linalg.slogdet(jac)[0] == 0.0
+            frozen = np.any(singular.reshape(-1, ns), axis=1)
+            live[np.flatnonzero(live)[frozen]] = False
+            if not np.any(live):
+                break
+            keep = np.repeat(~frozen, ns)
+            q, m, jac, rhs = q[keep], m[keep], jac[keep], rhs[keep]
+            rows = np.repeat(live, ns)
+            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
+        delta = np.where(np.isfinite(delta), delta, 0.0)
+        step = delta[:, :dim]
+        slen = np.linalg.norm(step, axis=-1, keepdims=True)
+        step = step * np.minimum(1.0, 0.25 / np.maximum(slen, 1e-300))
+        p2[rows] = q + step
+        mu[rows] = m + np.clip(delta[:, dim], -0.25, 0.25)
+    return ref_newton_to_surface(domain, p2, reps=2)
+
+
+def ref_project_batch(domain, points, warm_feet=None):
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    nb, dim = x.shape
+    if warm_feet is not None:
+        ns = 1
+        p = np.asarray(warm_feet, dtype=float).reshape(nb, 1, dim).copy()
+    else:
+        seeds = domain.boundary_samples(tubular.STARTS)
+        ns = seeds.shape[0] + 1
+        p = np.empty((nb, ns, dim))
+        p[:, :-1, :] = seeds[None, :, :]
+        p[:, -1, :] = ref_newton_to_surface(domain, x, reps=3)
+    p = p.reshape(nb * ns, dim)
+    xq = np.repeat(x, ns, axis=0)
+
+    p = ref_newton_to_surface(domain, p, reps=3)
+    damp = 0.6
+    active = np.arange(p.shape[0])
+    for _ in range(tubular.MAX_PULL_ITERS):
+        pa = p[active]
+        xa = xq[active]
+        g = domain.grad(pa)
+        gn = np.linalg.norm(g, axis=-1, keepdims=True)
+        unit = g / np.maximum(gn, 1e-300)
+        d = xa - pa
+        step = damp * (d - np.sum(d * unit, axis=-1, keepdims=True) * unit)
+        slen = np.linalg.norm(step, axis=-1, keepdims=True)
+        cap = 0.5 * (1.0 + np.linalg.norm(d, axis=-1, keepdims=True))
+        step = step * np.minimum(1.0, cap / np.maximum(slen, 1e-300))
+        p[active] = ref_newton_to_surface(domain, pa + step, reps=2)
+        moved = np.linalg.norm(step, axis=-1) >= 0.01 * tubular.TOL
+        active = active[moved]
+        if active.size == 0:
+            break
+
+    p2 = ref_newton_polish(domain, p, xq, ns)
+
+    def residuals(cand):
+        phi_c = np.abs(domain.phi(cand))
+        g_c = domain.grad(cand)
+        gsq = np.maximum(np.sum(g_c * g_c, axis=-1), 1e-280)
+        d_c = xq - cand
+        tang_c = d_c - (np.sum(d_c * g_c, axis=-1) / gsq)[..., None] * g_c
+        return phi_c, np.linalg.norm(tang_c, axis=-1)
+
+    phi_a, tang_a = residuals(p)
+    phi_b, tang_b = residuals(p2)
+    take_b = (phi_b + tang_b) < (phi_a + tang_a)
+    p = np.where(take_b[:, None], p2, p)
+    phi_feet = np.where(take_b, phi_b, phi_a).reshape(nb, ns)
+    tang_res = np.where(take_b, tang_b, tang_a).reshape(nb, ns)
+
+    p = p.reshape(nb, ns, dim)
+    scale = 1.0 + np.linalg.norm(x, axis=-1)
+    ok = phi_feet <= 1e-9 * scale[:, None]
+    ok &= tang_res <= 1e3 * tubular.TOL * scale[:, None]
+    critical = ok & (tang_res <= 1e2 * tubular.TOL * scale[:, None])
+
+    dist = np.linalg.norm(x[:, None, :] - p, axis=-1)
+    dist_masked = np.where(ok, dist, np.inf)
+    best_idx = np.argmin(dist_masked, axis=1)
+    best = dist_masked[np.arange(nb), best_idx]
+    if not np.all(np.isfinite(best)):
+        bad = int(np.argmax(~np.isfinite(best)))
+        raise tubular.ProjectionError(
+            f"projection failed to converge at {x[bad].tolist()}",
+            best_foot=p[bad, np.argmin(dist[bad])],
+            residual=float(np.min(phi_feet[bad])),
+        )
+
+    feet = p[np.arange(nb), best_idx]
+    near = critical & (dist <= (best + tubular.EQUAL_DISTANCE_TOL * (1.0 + best))[:, None])
+    mult = tubular._count_feet(p, near, tubular.CLUSTER_TOL * scale)
+
+    sign = np.where(domain.phi(x) >= 0.0, 1.0, -1.0)
+    return feet, sign * best, mult
+
+
+def assert_same_projection(domain, points, warm_feet=None):
+    got = tubular.project_batch(domain, points, warm_feet=warm_feet)
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging starts
+        want = ref_project_batch(domain, points, warm_feet=warm_feet)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    return got
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk", "catenoid-loose-seeds"])
+def test_projection_matches_reference_pull_loop(name):
+    domain = surfaces.make_domain(name.split("-")[0])
+    if name.endswith("loose-seeds"):
+        # seeds off the surface, so each Newton rep of their polish moves them
+        cat = domain
+        domain = surfaces.ImplicitDomain(
+            name, 3, cat.phi, cat._grad, cat._hess, box=cat.box,
+            boundary_sampler=lambda count: 1.1 * cat.boundary_samples(count),
+        )
+    rng = np.random.default_rng(11)
+    lo, hi = 0.8 * domain.box
+    for count in (1, 24, 500):
+        assert_same_projection(domain, rng.uniform(lo, hi, (count, 3)))
+    collar = tubular.collar_points(domain, 300, 0.02, 0.98)
+    feet = assert_same_projection(domain, collar)[0]
+    moved = collar + 1e-3 * rng.standard_normal(collar.shape)
+    assert_same_projection(domain, moved, warm_feet=feet)
+
+
+def test_projection_matches_reference_on_catenoid_axis(monkeypatch):
+    singular = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: singular.append(len(a)) or slogdet(a))
+    axis = np.outer([0.0, 0.3, -0.5], [0.0, 0.0, 1.0])
+    mult = assert_same_projection(surfaces.catenoid(), axis)[2]
+    # the polish met singular systems there, and every axis point has many feet
+    assert singular and np.all(mult > 1)
+
+
+def test_failed_projection_raises_as_reference():
+    scherk = surfaces.scherk()
+    errors = []
+    for project in (tubular.project_batch, ref_project_batch):
+        with pytest.raises(tubular.ProjectionError) as info, np.errstate(all="ignore"):
+            project(scherk, np.array([0.0, 0.0, 40.0]))
+        errors.append(info.value)
+    got, want = errors
+    assert str(got) == str(want) and got.residual == want.residual
+    assert np.array_equal(got.best_foot, want.best_foot)
+    assert got.residual == pytest.approx(13.41, abs=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,18 @@ def test_richardson_batch_beats_plain_on_smooth_field():
     plain = numkit.hessian_fd_batch(batch, x, step=1e-2)[0]
     rich = numkit.hessian_fd_richardson_batch(batch, x, step=1e-2)[0]
     assert np.max(np.abs(rich - exact)) < 0.1 * np.max(np.abs(plain - exact))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_axis_sum_rounds_as_axis_reductions(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((3000, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3000, n))
+    v[:4, 0] = [np.inf, -np.inf, np.nan, np.inf]
+    v[1, -1] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for x in (v, v.reshape(10, 300, n), v[0]):
+            norms = np.sqrt(numkit.axis_sum(x * x))
+            assert np.array_equal(norms, np.linalg.norm(x, axis=-1), equal_nan=True)
+            assert np.array_equal(numkit.axis_sum(x * x), np.sum(x * x, axis=-1), equal_nan=True)
+            assert np.array_equal(numkit.axis_sum(x), np.sum(x, axis=-1), equal_nan=True)
+        assert np.isnan(numkit.axis_sum(v[:4])).tolist() == [False, True, True, False]
