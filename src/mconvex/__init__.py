@@ -9,7 +9,7 @@ minimal-pseudometric upper bounds and degenerating disc chains.
 from . import barrier, discs, hyperbolicity, mpsh, numkit, surfaces, tubular
 from .barrier import BarrierFunction, build_barrier, verify_barrier
 from .hyperbolicity import bck_metric, metric_upper_bound
-from .mpsh import grid_verdict, is_m_psh_at, min_m_trace, trace_on_plane
+from .mpsh import grid_verdict, min_m_trace
 from .surfaces import ImplicitDomain, SurfacePoint, make_domain, principal_curvatures
 from .tubular import (
     ProjectionResult,
@@ -37,7 +37,6 @@ __all__ = [
     "grid_verdict",
     "hessian_delta",
     "hyperbolicity",
-    "is_m_psh_at",
     "make_domain",
     "metric_upper_bound",
     "min_m_trace",
@@ -47,7 +46,6 @@ __all__ = [
     "reach_estimate",
     "signed_distance",
     "surfaces",
-    "trace_on_plane",
     "transport_curvatures",
     "tubular",
     "verify_barrier",

@@ -244,10 +244,6 @@ class BarrierFunction:
     def m(self) -> int:
         return self.profile.m
 
-    @property
-    def plateau_value(self) -> float:
-        return self.scale * self.cap.plateau
-
     def delta(self, x: np.ndarray) -> float:
         return tubular.signed_distance(self.domain, x).distance
 
@@ -390,12 +386,6 @@ class BarrierReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def named(self, name: str) -> BarrierCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def verify_barrier(

@@ -297,7 +297,6 @@ def _run_subharmonicity(cfg: AnalysisConfig, report: Report) -> None:
     if cfg.params["negative_control"]:
         neg = mpsh.ScalarField(
             lambda x: -float(x @ x),
-            grad=lambda x: -2.0 * x,
             hess=lambda x: -2.0 * np.eye(3),
             name="negative-control",
         )

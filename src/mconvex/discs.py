@@ -341,12 +341,6 @@ WEIERSTRASS_DATA = {
 }
 
 
-def conformality_residual(cm: ConformalMap, z: complex):
-    """The pair (f_x . f_y, |f_x|^2 - |f_y|^2); both vanish for conformal maps."""
-    fx, fy = (np.asarray(j, dtype=float) for j in cm.jet1(z))
-    return float(fx @ fy), float(fx @ fx - fy @ fy)
-
-
 def harmonicity_residual(cm: ConformalMap, z) -> np.ndarray:
     """The parameter Laplacian f_xx + f_yy, componentwise, shape S + (n,)."""
     fxx, _, fyy = cm.jet2(z)

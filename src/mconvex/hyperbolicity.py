@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,16 +73,14 @@ class MetricEstimate:
     exact_on_ball: bool = False
 
 
-@dataclass
-class DiscSearchSpec:
-    orientations: int = 8
-    golden_iters: int = 18
-    angle_tol: float = 1e-3
-    radius_cap: float = 1e3
-    lattice_radii: int = 32
-    lattice_angles: int = 64
-    seed: int = 0
-
+# the disc search: coarse plane orientations, golden-section steps refining
+# the best one, the largest radius tried, and the polar lattice (radii by
+# angles) on which a witness disc is containment-checked
+ORIENTATIONS = 8
+GOLDEN_ITERS = 18
+RADIUS_CAP = 1e3
+LATTICE_RADII = 32
+LATTICE_ANGLES = 64
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -193,7 +191,7 @@ def _first_exit(domain, centers, rings, plane, radii, stop, chunk):
     return first
 
 
-def _disc_radii(domain, centers, rings, spec, plane=None, beat=None, a2=None):
+def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     """Largest admissible radii of flat discs at B centers, with the top of
     each final bracket (NaN where the radius is 0, outside the margin, or the
     cap): a growing radius brackets the boundary and three 16-radius grids
@@ -215,7 +213,7 @@ def _disc_radii(domain, centers, rings, spec, plane=None, beat=None, a2=None):
     rows = np.flatnonzero(~(phi0 > CONTAINMENT_MARGIN))
     if rows.size == 0:
         return radius, hi
-    radius[rows] = spec.radius_cap
+    radius[rows] = RADIUS_CAP
     g = numkit.row_norms(np.asarray(domain.grad(centers[rows]), dtype=float))[:, 0]
     # radii est * 1.8^k (accumulate multiplies in order) from a first-order
     # clearance guess clamped to a unit-scale seed, as the gradient can vanish
@@ -225,7 +223,7 @@ def _disc_radii(domain, centers, rings, spec, plane=None, beat=None, a2=None):
     seq = np.full((rows.size, 60), 1.8)
     seq[:, 0] = np.fmin(1.0, np.fmax(1e-6, np.abs(phi0[rows]) / np.fmax(1e-9, g)))
     seq = np.multiply.accumulate(seq, axis=1)
-    capped = seq > spec.radius_cap
+    capped = seq > RADIUS_CAP
     capped[:, 0] = False
     f = _first_exit(domain, centers[rows], rings, plane[rows], seq, capped, 4)  # exits come early
     keep = np.flatnonzero(f < 60)
@@ -248,17 +246,17 @@ def _disc_radii(domain, centers, rings, spec, plane=None, beat=None, a2=None):
     return radius, hi
 
 
-def _certified_disc_radius(domain, center, u, w, spec) -> float:
+def _certified_disc_radius(domain, center, u, w) -> float:
     """The radius of ``_disc_radii`` at one center, finished by a bisection
     on golden-refined circle maxima for certification."""
-    ring = _circle_ring(u, w, spec.lattice_angles)
-    radius, top = _disc_radii(domain, center[None, :], ring, spec)
+    ring = _circle_ring(u, w, LATTICE_ANGLES)
+    radius, top = _disc_radii(domain, center[None, :], ring)
     lo, hi = float(radius[0]), float(top[0])
     if math.isnan(hi):
         return lo
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if _circle_margin(domain, center, u, w, mid, spec.lattice_angles) <= CONTAINMENT_MARGIN:
+        if _circle_margin(domain, center, u, w, mid, LATTICE_ANGLES) <= CONTAINMENT_MARGIN:
             lo = mid
         else:
             hi = mid
@@ -328,7 +326,7 @@ def _golden_search(fn, lo, hi, iters):
             return stop.value
 
 
-def _solve_all(domain, spec, search):
+def _solve_all(domain, search):
     """Run a search to its value, answering each solve with one
     ``_disc_radii`` call."""
     radii = None
@@ -337,7 +335,7 @@ def _solve_all(domain, spec, search):
             ask = search.send(radii)
         except StopIteration as stop:
             return stop.value
-        radii = _disc_radii(domain, ask.centers, ask.rings, spec, ask.plane, ask.beat, ask.a2)[0]
+        radii = _disc_radii(domain, ask.centers, ask.rings, ask.plane, ask.beat, ask.a2)[0]
 
 
 def _caught(search):
@@ -348,7 +346,7 @@ def _caught(search):
         return exc
 
 
-def _search(domain, p, v, spec):
+def _search(domain, p, v):
     """The disc search of one pair (p, v), as a search generator (see
     ``_lockstep``) whose value is its ``MetricEstimate``."""
     if float(domain.phi(p)) >= 0.0:
@@ -357,15 +355,12 @@ def _search(domain, p, v, spec):
     if vnorm == 0.0:
         raise ValueError("direction must be nonzero")
     vhat = v / vnorm
-    n = p.size
-
     comp = numkit.orthonormal_complement(vhat)
-    rng = np.random.default_rng(spec.seed)
 
-    def plane(theta: float, pair):
+    def plane(theta: float):
         """The disc plane's second spanning vector at theta and its unit circle."""
-        w = math.cos(theta) * pair[0] + math.sin(theta) * pair[1]
-        return w, _circle_ring(vhat, w, spec.lattice_angles)
+        w = math.cos(theta) * comp[0] + math.sin(theta) * comp[1]
+        return w, _circle_ring(vhat, w, LATTICE_ANGLES)
 
     def centers(w, offsets):
         """The disc centers p + s1 vhat + s2 w of in-plane offsets s1 + i s2."""
@@ -374,18 +369,6 @@ def _search(domain, p, v, spec):
 
     def witness(w, s, radius):
         return DiscWitness(center=centers(w, [complex(*s)])[0], radius=radius, u=vhat, w=w)
-
-    pairs = [(comp[0], comp[1])]
-    if n > 3:
-        for _ in range(max(0, spec.orientations - 2)):
-            raw = rng.standard_normal(n)
-            raw -= (raw @ vhat) * vhat
-            raw /= np.linalg.norm(raw)
-            second = rng.standard_normal(n)
-            second -= (second @ vhat) * vhat
-            second -= (second @ raw) * raw
-            second /= np.linalg.norm(second)
-            pairs.append((raw, second))
 
     def evaluate(at, offsets, beat):
         """(1/bound, radius) at each in-plane offset s1 + i s2, in one solve;
@@ -433,14 +416,14 @@ def _search(domain, p, v, spec):
                 (r, radius), s1, s2 = seen[gain], gain.real, gain.imag
         return r, radius, (s1, s2)
 
-    thetas = [math.pi * k / spec.orientations for k in range(spec.orientations)]
-    planes = [(theta, pair, plane(theta, pair)) for pair in pairs for theta in thetas]
-    coarse = yield from _lockstep(offset_search(at) for _, _, at in planes)
+    thetas = [math.pi * k / ORIENTATIONS for k in range(ORIENTATIONS)]
+    planes = [(theta, plane(theta)) for theta in thetas]
+    coarse = yield from _lockstep(offset_search(at) for _, at in planes)
     best_r = -np.inf
-    best = None  # (theta, pair, plane, radius, (s1, s2))
-    for (theta, pair, at), (r, radius, s) in zip(planes, coarse):
+    best = None  # (theta, plane, radius, (s1, s2))
+    for (theta, at), (r, radius, s) in zip(planes, coarse):
         if r > best_r:
-            best_r, best = r, (theta, pair, at, radius, s)
+            best_r, best = r, (theta, at, radius, s)
 
     if best is None or best_r <= 0.0:
         return MetricEstimate(
@@ -452,22 +435,21 @@ def _search(domain, p, v, spec):
             containment_checked=False,
         )
 
-    theta_b, pair_b, at, radius, s_b = best
+    theta_b, at, radius, s_b = best
     wit_b = witness(at[0], s_b, radius)
 
     def refined(theta):
-        return (yield from offset_search(plane(theta, pair_b), s0=s_b))[0]
+        return (yield from offset_search(plane(theta), s0=s_b))[0]
 
     # orientation refinement with warm-started offset searches, one after
     # another but for the opening two
-    iters = int(math.log(math.pi / spec.angle_tol) / math.log(1.0 / _GOLDEN))
     theta_b, _ = yield from _golden_search(
         refined,
-        theta_b - math.pi / spec.orientations,
-        theta_b + math.pi / spec.orientations,
-        max(spec.golden_iters, iters),
+        theta_b - math.pi / ORIENTATIONS,
+        theta_b + math.pi / ORIENTATIONS,
+        GOLDEN_ITERS,
     )
-    at = plane(theta_b, pair_b)
+    at = plane(theta_b)
     _, radius, s_b = yield from offset_search(at, s0=s_b, coarse=False)
     if radius is not None:
         wit_b = witness(at[0], s_b, radius)
@@ -475,7 +457,7 @@ def _search(domain, p, v, spec):
     # final certified disc: refined circle maximum plus interior lattice
     w = at[0]
     center = centers(w, [complex(*s_b)])[0]
-    radius = _certified_disc_radius(domain, center, vhat, w, spec)
+    radius = _certified_disc_radius(domain, center, vhat, w)
     a_b = math.hypot(*s_b)
     if radius <= a_b * (1.0 + 1e-12) or radius <= 0.0:
         wit_fin = wit_b
@@ -484,8 +466,8 @@ def _search(domain, p, v, spec):
     radius = wit_fin.radius
     for _ in range(60):
         disc = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
-        lat = _lattice_margin(*disc, spec.lattice_radii, spec.lattice_angles)
-        if max(lat, _circle_margin(*disc, spec.lattice_angles)) <= CONTAINMENT_MARGIN:
+        lat = _lattice_margin(*disc, LATTICE_RADII, LATTICE_ANGLES)
+        if max(lat, _circle_margin(*disc, LATTICE_ANGLES)) <= CONTAINMENT_MARGIN:
             break
         radius *= 0.999
     wit_fin = DiscWitness(center=wit_fin.center, radius=radius, u=wit_fin.u, w=wit_fin.w)
@@ -508,7 +490,6 @@ def metric_upper_bound(
     domain: ImplicitDomain,
     p: np.ndarray,
     v: np.ndarray,
-    spec: Optional[DiscSearchSpec] = None,
 ) -> MetricEstimate | tuple[MetricEstimate, ...]:
     """Best 1/r over flat discs through p with automorphism reparametrization.
 
@@ -527,27 +508,28 @@ def metric_upper_bound(
 
     The returned bound is always an upper bound for the pseudometric; the
     witnessing disc is containment-checked, pair by pair, on its boundary
-    circle and an interior polar lattice. Complete over plane orientations in
-    R^3; in higher dimensions the orientation set is a sampled subfamily, so
-    bounds remain valid but may be looser.
+    circle and an interior polar lattice. Points and directions lie in R^3,
+    where the planes containing v are one circle of orientations; any other
+    dimension raises ``ValueError``.
 
-    ``p`` and ``v`` of shape (n,) give one ``MetricEstimate``; stacks of
-    shape (B, n) give a tuple of B. An error of a stack is the one the first
+    ``p`` and ``v`` of shape (3,) give one ``MetricEstimate``; stacks of
+    shape (B, 3) give a tuple of B. An error of a stack is the one the first
     failing pair raises, with ``pair`` set to that pair's index and
     ``estimates`` to the estimates of the pairs before it.
     """
-    spec = spec or DiscSearchSpec()
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.shape != v.shape:
         raise ValueError(f"point shape {p.shape} and direction shape {v.shape} differ")
+    if p.shape[-1:] != (3,):
+        raise ValueError(f"points and directions must lie in R^3, got shape {p.shape}")
     if p.ndim == 1:
-        return _solve_all(domain, spec, _search(domain, p, v, spec))
+        return _solve_all(domain, _search(domain, p, v))
     estimates = []
     for k in range(0, len(p), LOCKSTEP_PAIRS):
-        group = (_caught(_search(domain, *pv, spec))
+        group = (_caught(_search(domain, *pv))
                  for pv in zip(p[k:k + LOCKSTEP_PAIRS], v[k:k + LOCKSTEP_PAIRS]))
-        for est in _solve_all(domain, spec, _lockstep(group)):
+        for est in _solve_all(domain, _lockstep(group)):
             if isinstance(est, Exception):
                 est.pair, est.estimates = len(estimates), tuple(estimates)
                 raise est

@@ -16,40 +16,6 @@ import numpy as np
 
 from . import numkit
 
-ORTHONORMAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MPlane:
-    """An m-plane through the origin given by an orthonormal basis (rows)."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        gram = b @ b.T
-        err = float(np.max(np.abs(gram - np.eye(b.shape[0]))))
-        if err > ORTHONORMAL_TOL:
-            raise ValueError(f"basis is not orthonormal: deviation {err:.3e}")
-
-    @property
-    def m(self) -> int:
-        return self.basis.shape[0]
-
-
-def random_mplane(rng: np.random.Generator, n: int, m: int) -> MPlane:
-    """Uniform random m-plane: orthonormalized Gaussian frame."""
-    g = rng.standard_normal((n, m))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
-    return MPlane(q.T[:m])
-
-
-def trace_on_plane(h: np.ndarray, plane: MPlane) -> float:
-    """Trace of the restriction of the quadratic form ``h`` to the plane."""
-    b = plane.basis
-    return float(np.einsum("ik,kl,il->", b, np.asarray(h, dtype=float), b))
-
 
 def check_m(m: int, n: int) -> None:
     """Reject a plane dimension m outside [1, n]."""
@@ -79,12 +45,10 @@ def min_m_trace(h: np.ndarray, m: int):
 
 
 class ScalarField:
-    """A C^2 field bundled with its derivatives, differencing when absent."""
+    """A C^2 field bundled with its Hessian, differencing when absent."""
 
-    def __init__(self, fn: Callable, grad: Optional[Callable] = None,
-                 hess: Optional[Callable] = None, name: str = "field"):
+    def __init__(self, fn: Callable, hess: Optional[Callable] = None, name: str = "field"):
         self.fn = fn
-        self._grad = grad
         self._hess = hess
         self.name = name
 
@@ -95,57 +59,11 @@ class ScalarField:
         """Values at B points (B, n), shape (B,)."""
         return np.array([self.value(x) for x in np.atleast_2d(points)])
 
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
-        return numkit.gradient_fd(self.fn, x)
-
     def hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._hess is not None:
             return np.asarray(self._hess(x), dtype=float)
         return numkit.hessian_fd(self.fn, x)
-
-
-@dataclass(frozen=True)
-class PshVerdict:
-    """Pointwise verdict with its margin (sum of m smallest eigenvalues)."""
-
-    point: np.ndarray
-    margin: float
-    verdict: str  # "strictly-psh" | "psh" | "violated"
-    worst_plane: Optional[MPlane] = None
-
-
-def default_margin_tol(h: np.ndarray) -> float:
-    return 1e-8 * (1.0 + float(np.linalg.norm(h)))
-
-
-def is_m_psh_at(
-    field,
-    x: np.ndarray,
-    m: int,
-    tol: Optional[float] = None,
-) -> PshVerdict:
-    """Classify a point by the sum of the m smallest Hessian eigenvalues.
-
-    ``field`` is anything :func:`hessian_stack` takes. The margin decides
-    the verdict against the scale-aware tolerance band.
-    """
-    x = np.asarray(x, dtype=float)
-    h = hessian_stack(field, x)[0]
-    use_tol = default_margin_tol(h) if tol is None else float(tol)
-    eig = numkit.sym_eigen(h)
-    margin = float(sum_smallest(eig.eigenvalues, m))
-    if margin < -use_tol:
-        verdict = "violated"
-    elif margin > use_tol:
-        verdict = "strictly-psh"
-    else:
-        verdict = "psh"
-    worst = MPlane(eig.eigenvectors[:, :m].T.copy())
-    return PshVerdict(point=x, margin=margin, verdict=verdict, worst_plane=worst)
 
 
 def hessian_stack(field, points: np.ndarray) -> np.ndarray:
@@ -171,7 +89,7 @@ def hessian_stack(field, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridVerdict:
-    """Census of pointwise verdicts over a sample grid."""
+    """Census of the per-point verdicts over a sample grid."""
 
     m: int
     tol: float
@@ -194,7 +112,9 @@ def grid_verdict(
     tol: float = 1e-8,
     hessians: Optional[np.ndarray] = None,
 ) -> GridVerdict:
-    """Run the pointwise verdict over a grid of sample points.
+    """Classify each of B sample points by its margin, the sum of the m
+    smallest Hessian eigenvalues: strictly psh above ``tol``, violated below
+    ``-tol``, psh between.
 
     ``hessians`` may be precomputed, shape (B, n, n) for B points; otherwise
     :func:`hessian_stack` evaluates them. All margins come from one batched

@@ -69,10 +69,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v, -1, -2)
-
 
 def canonical_sign(vectors: np.ndarray) -> np.ndarray:
     """Flip the columns of (..., n, k) so each first sizable entry is positive.
@@ -237,20 +233,6 @@ def hessian_fd_richardson_batch(values_fn, points: np.ndarray, step: float) -> n
     coarse = hessian_fd_batch(values_fn, points, step)
     fine = hessian_fd_batch(values_fn, points, 0.5 * step)
     return (4.0 * fine - coarse) / 3.0
-
-
-def hessian_fd_richardson(f, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Richardson-extrapolated centered Hessian, O(step^4) accurate.
-
-    Combines the centered stencil at ``step`` and ``step/2``; use a step a
-    decade or two larger than for :func:`hessian_fd` so the h^2 terms cancel
-    without amplifying evaluation noise.
-    """
-    x = np.asarray(x, dtype=float)
-    h = 10.0 * default_step(x) if step is None else float(step)
-    if h <= 0.0:
-        raise ValueError("step must be positive")
-    return hessian_fd_richardson_batch(_pointwise(f), x, h)[0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -284,7 +284,7 @@ def sphere(radius: float = 1.0) -> ImplicitDomain:
         nrm = np.linalg.norm(x, axis=-1)[..., None, None]
         unit = x / np.maximum(nrm[..., 0], 1e-300)
         eye = np.broadcast_to(np.eye(3), x.shape + (3,))
-        return (eye - unit[..., :, None] * unit[..., None, :]) / nrm
+        return (eye - unit[..., :, None] * unit[..., None, :]) / np.maximum(nrm, 1e-300)
 
     def boundary(count):
         return r * _fibonacci_directions(count)

@@ -175,19 +175,20 @@ def test_criterion_4_barrier_construction():
         hessians, _ = bf.hessian_batch(interior)
         verdict = mpsh.grid_verdict(bf, interior, M, tol=1e-8, hessians=hessians)
         rep = barrier.verify_barrier(bf, interior, boundary, level_count=10)
+        checks = {c.name: c for c in rep.checks}
         ok = (
             verdict.violated_count == 0
-            and rep.named("boundary-zero").passed
-            and rep.named("gradient-floor").passed
-            and rep.named("level-set").passed
-            and rep.named("psh-margin").passed
+            and checks["boundary-zero"].passed
+            and checks["gradient-floor"].passed
+            and checks["level-set"].passed
+            and checks["psh-margin"].passed
         )
         criterion(
             4, ok, f"defining-function construction on {name}",
             f"0 of {verdict.total} samples violated (worst margin "
             f"{verdict.worst_margin:.2e}); boundary residual "
-            f"{rep.named('boundary-zero').worst_value:.2e}; level error "
-            f"{rep.named('level-set').worst_value:.2e}",
+            f"{checks['boundary-zero'].worst_value:.2e}; level error "
+            f"{checks['level-set'].worst_value:.2e}",
         )
     elapsed = time.monotonic() - t_start
     criterion(4, elapsed <= 300.0, "construction runtime budget", f"{elapsed:.0f}s")

@@ -150,7 +150,7 @@ def test_ball_barrier_example_point():
     pred = bf.eigen_list(x)
     analytic = numkit.sym_eigen(bf.hessian(x)).eigenvalues
     assert np.max(np.abs(pred - analytic)) < 1e-10
-    fd = numkit.hessian_fd_richardson(bf.value, x, 1e-3)
+    fd = numkit.hessian_fd_richardson_batch(bf.value_batch, x[None], 1e-3)[0]
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(fd)) - pred)) < 1e-6
 
 
@@ -163,10 +163,11 @@ def test_barrier_value_contract():
     assert np.all(vals <= 0.0)
     # plateau region: constant value, vanishing derivatives
     deep = np.array([0.15, 0.1, 0.0])
-    assert bf.value(deep) == pytest.approx(bf.plateau_value)
+    plateau = bf.scale * bf.cap.plateau
+    assert bf.value(deep) == pytest.approx(plateau)
     assert np.linalg.norm(bf.gradient(deep)) == 0.0
     assert np.max(np.abs(bf.hessian(deep))) == 0.0
-    assert bf.plateau_value < -1.0  # the regular range (-1, 0] sits above it
+    assert plateau < -1.0  # the regular range (-1, 0] sits above it
 
 
 def test_level_delta_roundtrip():
@@ -264,7 +265,7 @@ def test_verify_barrier_projects_each_point_cold_once(monkeypatch):
     rep = barrier.verify_barrier(bf, interior, boundary, fd_check_count=0)
     monkeypatch.undo()
 
-    level = rep.named("level-set")
+    level = rep.checks[-1]
     assert level.count == level_count == 320 and level.passed and level.worst_value <= 1e-12
     cold = sum(n for n, warm in calls if not warm)
     assert cold == len(interior) + len(boundary) + level.count
@@ -294,7 +295,7 @@ def test_tampered_cap_flagged_by_verification():
     pts = tubular.collar_points(ball, 50, depth * 0.98, depth * 1.02)
     boundary = ball.boundary_samples(32)
     rep = barrier.verify_barrier(tampered, pts, boundary)
-    assert not rep.named("psh-margin").passed
+    assert not {c.name: c for c in rep.checks}["psh-margin"].passed
 
 
 def test_strong_convexity_transfer_strict_inside():

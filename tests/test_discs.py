@@ -7,7 +7,6 @@ from mconvex import barrier, discs, mpsh, surfaces
 def quadratic_field():
     return mpsh.ScalarField(
         lambda x: float(x @ x),
-        grad=lambda x: 2.0 * np.asarray(x, dtype=float),
         hess=lambda x: 2.0 * np.eye(3),
     )
 
@@ -17,8 +16,8 @@ def test_affine_disc_conformal_exactly():
     u = np.array([0.5, 0.0, 0.0])
     w = np.array([0.0, 0.5, 0.0])
     cm = discs.affine_disc(p, u, w)
-    a, b = discs.conformality_residual(cm, 0.3 + 0.2j)
-    assert a == 0.0 and b == 0.0
+    fx, fy = cm.jet1(0.3 + 0.2j)
+    assert fx @ fy == 0.0 and fx @ fx - fy @ fy == 0.0
     assert np.array_equal(discs.harmonicity_residual(cm, 0.1j), np.zeros(3))
 
 
@@ -27,19 +26,18 @@ def test_nonconformal_map_residual():
         np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
     )
     for z in (0.0, 0.5 + 0.5j, -0.7j):
-        a, b = discs.conformality_residual(cm, z)
-        assert a == 0.0
-        assert b == pytest.approx(-3.0)
+        fx, fy = cm.jet1(z)
+        assert fx @ fy == 0.0
+        assert fx @ fx - fy @ fy == pytest.approx(-3.0)
 
 
 def test_closed_form_charts_conformal_harmonic():
     for cm in (discs.catenoid_map(), discs.helicoid_map(), discs.enneper_map()):
         for z in cm.grid(6, 12):
-            a, b = discs.conformality_residual(cm, z)
-            fx, _ = cm.jet1(z)
+            fx, fy = cm.jet1(z)
             scale = max(1e-12, float(fx @ fx))
-            assert abs(a) <= 1e-6 * scale
-            assert abs(b) <= 1e-6 * scale
+            assert abs(fx @ fy) <= 1e-6 * scale
+            assert abs(fx @ fx - fy @ fy) <= 1e-6 * scale
             assert np.max(np.abs(discs.harmonicity_residual(cm, z))) <= 1e-8
 
 
@@ -91,10 +89,9 @@ def test_weierstrass_residuals_random_samples():
             z = center + (rng.uniform(-0.4, 0.4) + 1j * rng.uniform(-0.4, 0.4))
             if cm.near_branch(z):
                 continue
-            a, b = discs.conformality_residual(cm, z)
-            fx, _ = cm.jet1(z)
+            fx, fy = cm.jet1(z)
             scale = max(1e-12, float(fx @ fx))
-            assert abs(a) <= 1e-6 * scale and abs(b) <= 1e-6 * scale
+            assert abs(fx @ fy) <= 1e-6 * scale and abs(fx @ fx - fy @ fy) <= 1e-6 * scale
             assert np.max(np.abs(discs.harmonicity_residual(cm, z))) <= 1e-6
 
 
@@ -118,7 +115,6 @@ def test_composition_laplacian_quadratic():
 def test_composition_laplacian_linear_field_zero():
     field = mpsh.ScalarField(
         lambda x: float(x[0] + 2.0 * x[1]),
-        grad=lambda x: np.array([1.0, 2.0, 0.0]),
         hess=lambda x: np.zeros((3, 3)),
     )
     cm = discs.catenoid_map(scale=0.5)
@@ -168,7 +164,7 @@ def test_sweep_barrier_nonnegative_and_negative_control():
     rep = discs.subharmonicity_sweep(bf, cm)
     assert rep.violations == 0
     assert rep.min_laplacian >= -1e-8
-    assert rep.rho_min >= bf.plateau_value - 1e-12
+    assert rep.rho_min >= bf.scale * bf.cap.plateau - 1e-12
 
     neg = mpsh.ScalarField(
         lambda x: -float(x @ x), hess=lambda x: -2.0 * np.eye(3)

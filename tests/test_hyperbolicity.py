@@ -85,6 +85,17 @@ def test_metric_point_outside_rejected():
         hyp.metric_upper_bound(ball, np.zeros(3), np.zeros(3))
 
 
+def test_metric_rejects_points_outside_r3():
+    calls = []
+    ball = surfaces.sphere()
+    ball._phi = lambda x: calls.append(x) or np.zeros(np.shape(x)[:-1])
+    with pytest.raises(ValueError, match=r"R\^3, got shape \(4,\)"):
+        hyp.metric_upper_bound(ball, np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match=r"R\^3, got shape \(5, 2\)"):
+        hyp.metric_upper_bound(ball, np.zeros((5, 2)), np.ones((5, 2)))
+    assert calls == []  # rejected before any search starts
+
+
 def test_omega_membership_examples():
     dom = hyp.planar_disc(radius=2.0)
     assert hyp.omega_d_membership(dom, np.array([0.0, 0.0, 0.0]))

@@ -669,8 +669,9 @@ def ref_circle_margins_many(domain, center, u, w, radii, angles):
     return vals.reshape(radii.size, angles).max(axis=1)
 
 
-def ref_max_disc_radius(domain, center, u, w, spec, refine=False):
-    margin = hyperbolicity.CONTAINMENT_MARGIN
+def ref_max_disc_radius(domain, center, u, w, refine=False):
+    margin, cap = hyperbolicity.CONTAINMENT_MARGIN, hyperbolicity.RADIUS_CAP
+    angles = hyperbolicity.LATTICE_ANGLES
     phi0 = float(domain.phi(center))
     if phi0 > margin:
         return 0.0
@@ -679,19 +680,19 @@ def ref_max_disc_radius(domain, center, u, w, spec, refine=False):
     lo, hi = 0.0, None
     r = est
     for _ in range(60):
-        m = ref_circle_margins_many(domain, center, u, w, [r], spec.lattice_angles)[0]
+        m = ref_circle_margins_many(domain, center, u, w, [r], angles)[0]
         if m > margin:
             hi = r
             break
         lo = r
         r *= 1.8
-        if r > spec.radius_cap:
-            return spec.radius_cap
+        if r > cap:
+            return cap
     if hi is None:
-        return spec.radius_cap
+        return cap
     for _ in range(3):
         rr = np.linspace(lo, hi, 18)[1:-1]
-        bad = ref_circle_margins_many(domain, center, u, w, rr, spec.lattice_angles) > margin
+        bad = ref_circle_margins_many(domain, center, u, w, rr, angles) > margin
         if bad.any():
             first = int(np.argmax(bad))
             hi = rr[first]
@@ -703,7 +704,7 @@ def ref_max_disc_radius(domain, center, u, w, spec, refine=False):
         return lo
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        circ = hyperbolicity._circle_margin(domain, center, u, w, mid, spec.lattice_angles)
+        circ = hyperbolicity._circle_margin(domain, center, u, w, mid, angles)
         if circ <= margin:
             lo = mid
         else:
@@ -711,9 +712,10 @@ def ref_max_disc_radius(domain, center, u, w, spec, refine=False):
     return lo
 
 
-def ref_metric_upper_bound(domain, p, v, spec):
-    """The one-offset-at-a-time search of ``metric_upper_bound`` in R^3."""
+def ref_metric_upper_bound(domain, p, v):
+    """The one-offset-at-a-time search of ``metric_upper_bound``."""
     hyp = hyperbolicity
+    orientations = hyp.ORIENTATIONS
     vnorm = float(np.linalg.norm(v))
     vhat = v / vnorm
     comp = numkit.orthonormal_complement(vhat)
@@ -723,7 +725,7 @@ def ref_metric_upper_bound(domain, p, v, spec):
         w = math.cos(theta) * pair[0] + math.sin(theta) * pair[1]
         q = p + s1 * vhat + s2 * w
         a = math.hypot(s1, s2)
-        radius = ref_max_disc_radius(domain, q, vhat, w, spec, refine)
+        radius = ref_max_disc_radius(domain, q, vhat, w, refine)
         if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
             return -np.inf, None, a
         return (radius * radius - a * a) / radius, hyp.DiscWitness(q, radius, vhat, w), a
@@ -749,29 +751,25 @@ def ref_metric_upper_bound(domain, p, v, spec):
         return r, wit, (s1, s2)
 
     best_r, best = -np.inf, None
-    for k in range(spec.orientations):
-        theta = math.pi * k / spec.orientations
+    for k in range(orientations):
+        theta = math.pi * k / orientations
         r, wit, s = offset_search(theta)
         if r > best_r:
             best_r, best = r, (theta, wit, s)
     theta_b, wit_b, s_b = best
-    iters = max(
-        spec.golden_iters,
-        int(math.log(math.pi / spec.angle_tol) / math.log(1.0 / hyp._GOLDEN)),
-    )
     theta_b, _ = hyp._golden_max(
         lambda t: offset_search(t, s0=s_b)[0],
-        theta_b - math.pi / spec.orientations,
-        theta_b + math.pi / spec.orientations,
-        iters,
+        theta_b - math.pi / orientations,
+        theta_b + math.pi / orientations,
+        hyp.GOLDEN_ITERS,
     )
     _, wit_b2, s_b = offset_search(theta_b, s0=s_b, coarse=False)
     _, wit_fin, a_b = evaluate(theta_b, s_b[0], s_b[1], refine=True)
     radius = wit_fin.radius
     for _ in range(60):
         args = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
-        lat = hyp._lattice_margin(*args, spec.lattice_radii, spec.lattice_angles)
-        circ = hyp._circle_margin(*args, spec.lattice_angles)
+        lat = hyp._lattice_margin(*args, hyp.LATTICE_RADII, hyp.LATTICE_ANGLES)
+        circ = hyp._circle_margin(*args, hyp.LATTICE_ANGLES)
         if max(lat, circ) <= hyp.CONTAINMENT_MARGIN:
             break
         radius *= 0.999
@@ -825,7 +823,7 @@ def test_catenoid_phi_rounds_as_axis_norm():
 
 
 @pytest.mark.parametrize("name", ["sphere", "catenoid"])
-def test_disc_radii_match_per_center_search(name):
+def test_disc_radii_match_per_center_search(name, monkeypatch):
     domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
     rng = np.random.default_rng(11)
     normal = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
@@ -834,15 +832,15 @@ def test_disc_radii_match_per_center_search(name):
     centers[0] = [0.0, 0.0, 2.0]  # outside: radius 0
     centers[1] = 0.5 * u  # the first circle already leaves the ball
     centers[2:4] = [0.99 * normal, 0.9 * normal]  # the radius grows 5 and 2 times
-    for spec in (hyperbolicity.DiscSearchSpec(), hyperbolicity.DiscSearchSpec(radius_cap=0.05)):
-        ring = hyperbolicity._circle_ring(u, w, spec.lattice_angles)
-        radius, _ = hyperbolicity._disc_radii(domain, centers, ring, spec)
-        expected = [ref_max_disc_radius(domain, c, u, w, spec) for c in centers]
-        assert radius.tolist() == expected
-    spec = hyperbolicity.DiscSearchSpec()
+    ring = hyperbolicity._circle_ring(u, w, hyperbolicity.LATTICE_ANGLES)
     for c in centers[:4]:
-        got = hyperbolicity._certified_disc_radius(domain, c, u, w, spec)
-        assert got == ref_max_disc_radius(domain, c, u, w, spec, refine=True)
+        got = hyperbolicity._certified_disc_radius(domain, c, u, w)
+        assert got == ref_max_disc_radius(domain, c, u, w, refine=True)
+    for cap in (hyperbolicity.RADIUS_CAP, 0.05):
+        monkeypatch.setattr(hyperbolicity, "RADIUS_CAP", cap)
+        radius, _ = hyperbolicity._disc_radii(domain, centers, ring)
+        expected = [ref_max_disc_radius(domain, c, u, w) for c in centers]
+        assert radius.tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -854,9 +852,8 @@ def test_metric_upper_bound_matches_sequential_search(name, seed):
     v = rng.standard_normal(3)
     p = rng.standard_normal(3)
     p *= 0.6 * rng.uniform() / np.linalg.norm(p)
-    spec = hyperbolicity.DiscSearchSpec()
-    est = hyperbolicity.metric_upper_bound(domain, p, v, spec)
-    bound, offset, radius, wit = ref_metric_upper_bound(domain, p, v, spec)
+    est = hyperbolicity.metric_upper_bound(domain, p, v)
+    bound, offset, radius, wit = ref_metric_upper_bound(domain, p, v)
     assert (est.bound, est.offset, est.witness.radius) == (bound, offset, radius)
     assert np.array_equal(est.witness.center, wit.center)
     assert np.array_equal(est.witness.w, wit.w)
@@ -865,21 +862,20 @@ def test_metric_upper_bound_matches_sequential_search(name, seed):
 @pytest.mark.parametrize("name", ["sphere", "catenoid"])
 def test_pruned_disc_radii_are_sound(name):
     domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
-    spec = hyperbolicity.DiscSearchSpec()
     rng = np.random.default_rng(23)
     rings = []
     for normal in rng.standard_normal((3, 3)):
         u, w = numkit.orthonormal_complement(normal / np.linalg.norm(normal))
-        rings.append(hyperbolicity._circle_ring(u, w, spec.lattice_angles))
+        rings.append(hyperbolicity._circle_ring(u, w, hyperbolicity.LATTICE_ANGLES))
     rings = np.stack(rings)
     centers = rng.uniform(-0.5, 0.5, (30, 3))
     plane = rng.integers(0, len(rings), len(centers))
     a2 = rng.uniform(0.0, 0.2, len(centers))
-    radius, top = hyperbolicity._disc_radii(domain, centers, rings, spec, plane)
+    radius, top = hyperbolicity._disc_radii(domain, centers, rings, plane)
     # per-row planes round as one plane at a time
     for k, ring in enumerate(rings):
         rows = plane == k
-        alone = hyperbolicity._disc_radii(domain, centers[rows], ring, spec)
+        alone = hyperbolicity._disc_radii(domain, centers[rows], ring)
         assert np.array_equal(alone[0], radius[rows])
         assert np.array_equal(alone[1], top[rows], equal_nan=True)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -887,7 +883,7 @@ def test_pruned_disc_radii_are_sound(name):
     # just below its score a row cannot be dropped; at or above it, it may be
     beat = score + np.tile([-1e-9, 0.0, 0.05, 0.5, -0.05], 6) * (1.0 + np.abs(score))
     beat[7] = -np.inf
-    got, got_top = hyperbolicity._disc_radii(domain, centers, rings, spec, plane, beat, a2)
+    got, got_top = hyperbolicity._disc_radii(domain, centers, rings, plane, beat, a2)
     dropped = np.isnan(got)
     assert dropped.any() and not dropped[7]
     assert np.array_equal(got[~dropped], radius[~dropped])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,20 @@ def test_sphere_parametric_oracle_agreement():
         kappa = form_curvatures(*jets, inner_sign=-1.0)
         sp = surfaces.principal_curvatures(ball, p)
         assert np.max(np.abs(kappa - sp.curvatures)) < 1e-5
+
+
+def test_sphere_hessian_is_finite_at_the_centre():
+    ball = surfaces.sphere(0.7)
+    x = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h = ball.hess(x)
+        centre = ball.hess(np.zeros(3))
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(centre))
+    # off the centre, the unguarded quotient
+    nrm = np.linalg.norm(x[1:], axis=-1)[..., None, None]
+    unit = x[1:] / nrm[..., 0]
+    assert np.array_equal(h[1:], (np.eye(3) - unit[..., :, None] * unit[..., None, :]) / nrm)
 
 
 def test_scherk_parametric_oracle_agreement():
