@@ -277,7 +277,7 @@ def _run_subharmonicity(cfg: AnalysisConfig, report: Report) -> None:
     domain = surfaces.make_domain(**cfg.domain)
     bf = _barrier_for(cfg, domain)
     tol = cfg.params["tol"]
-    inside = lambda x: float(domain.phi(x)) <= 1e-9
+    inside = lambda x: domain.phi(x) <= 1e-9
     maps = (
         default_test_maps(domain.name)
         if cfg.params["maps"] is None

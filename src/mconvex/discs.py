@@ -410,12 +410,13 @@ def subharmonicity_sweep(
     composed field values (constancy evidence for the range collapse).
 
     ``inside`` optionally validates that the image stays in the field's
-    region; a sample outside aborts the sweep.
+    region: it maps the (B, n) images to a boolean array, and a sample
+    outside aborts the sweep.
     """
     zz = np.asarray(cm.grid() if grid is None else grid, dtype=complex)
     images = np.asarray(cm.f(zz), dtype=float)
     if inside is not None:
-        kept = np.fromiter(map(inside, images), dtype=bool, count=len(images))
+        kept = np.asarray(inside(images), dtype=bool)
         if not kept.all():
             raise ValueError(
                 f"map {cm.name!r} leaves the field's region at parameter "

@@ -28,6 +28,9 @@ MAX_PULL_ITERS = 60
 NEWTON_ITERS = 4
 CLUSTER_TOL = 1e-6
 EQUAL_DISTANCE_TOL = 1e-7
+# midpoints a pruned bisection hands ``below`` per call, at most (one level
+# always runs)
+BISECT_POINTS = 16
 
 
 class ProjectionError(RuntimeError):
@@ -408,7 +411,12 @@ def reach_estimate(
 
     The bottleneck bound is the smallest offset at which a probe ray (along
     either normal) leaves its foot: all rays are tested at ``cap`` in one
-    batch, and those that fail there are bisected together.
+    batch, and those that fail there are bisected together. Only the
+    smallest offset is reported, so the bisection drops every ray that can
+    no longer be the smallest, and once few rays are left one projection
+    call evaluates the midpoints of several levels (see :func:`bisect`).
+    Projection rows do not depend on their batch, so the result equals that
+    of bisecting every ray alone.
     """
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     if pts.size == 0:
@@ -440,8 +448,11 @@ def reach_estimate(
     rays = np.flatnonzero(~same_foot(origins, directions, offsets))
     if rays.size:
         o, d = origins[rays], directions[rays]
-        lo, _ = bisect(lambda s: same_foot(o, d, s), np.zeros(rays.size), offsets[rays], 40)
-        offsets[rays] = lo
+        lo, _ = bisect(
+            lambda s, r: same_foot(o[r], d[r], s),
+            np.zeros(rays.size), offsets[rays], 40, prune=True,
+        )
+        offsets[rays] = lo  # exact at the minimum, the one value read
     bottleneck = float(np.min(offsets))
     value = min(focal, bottleneck)
     return ReachEstimate(
@@ -453,17 +464,50 @@ def reach_estimate(
     )
 
 
-def bisect(below, lo: np.ndarray, hi: np.ndarray, iters: int):
+def bisect(below, lo: np.ndarray, hi: np.ndarray, iters: int, *, prune: bool = False):
     """Bisect many brackets at once; returns the final ``(lo, hi)``.
 
     ``below(mid)`` marks the rows whose crossing lies beyond ``mid``: those
     rows move ``lo`` up to ``mid``, the others move ``hi`` down to it.
+
+    With ``prune`` only ``min(lo)`` is wanted. Before each round, a row whose
+    ``lo`` is at or above the smallest ``hi`` of the live rows is dropped: its
+    final ``lo`` cannot fall below the final ``lo`` of the row holding that
+    ``hi``, since ``lo`` only rises and ``hi`` only falls. A dropped row keeps
+    the bracket it had, so ``min(lo)`` is still exact, whether or not
+    ``below`` is monotone. The
+    live rows then advance by as many levels as fit ``BISECT_POINTS``: one
+    call ``below(mid, rows)``, ``rows`` giving the row of each ``mid``,
+    evaluates every midpoint those levels could visit, and the walk down that
+    tree takes the bits of the one-level loop.
     """
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        up = below(mid)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live = np.arange(lo.size)
+    left = iters
+    while left > 0 and live.size:
+        levels = 1
+        if prune:
+            live = live[lo[live] < np.min(hi[live])]
+            while levels < left and live.size * (2 ** (levels + 1) - 1) <= BISECT_POINTS:
+                levels += 1
+        # midpoint tree of the next levels, heap order: node k has children
+        # 2k + 1 (crossing below its midpoint) and 2k + 2 (beyond it)
+        lo_t, hi_t = [lo[live]], [hi[live]]
+        mid = []
+        for k in range(2**levels - 1):
+            mid.append(0.5 * (lo_t[k] + hi_t[k]))
+            lo_t += [lo_t[k], mid[k]]
+            hi_t += [mid[k], hi_t[k]]
+        mid = np.concatenate(mid)
+        up = below(mid, np.tile(live, 2**levels - 1)) if prune else below(mid)
+        node = np.zeros(live.size, dtype=int)
+        cols = np.arange(live.size)
+        for _ in range(levels):
+            at = node * live.size + cols
+            lo[live] = np.where(up[at], mid[at], lo[live])
+            hi[live] = np.where(up[at], hi[live], mid[at])
+            node = 2 * node + 1 + up[at]
+        left -= levels
     return lo, hi
 
 

@@ -215,7 +215,7 @@ def test_criterion_6_subharmonicity():
     worst = np.inf
     for name in BARRIER_DOMAINS:
         domain, bf = build_acceptance_barrier(name)
-        inside = lambda x, d=domain: float(d.phi(x)) <= 1e-9
+        inside = lambda x, d=domain: d.phi(x) <= 1e-9
         for cm in cli.default_test_maps(name):
             sweep = discs.subharmonicity_sweep(bf, cm, tol=1e-8, inside=inside)
             total_maps += 1

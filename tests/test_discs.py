@@ -196,7 +196,7 @@ def test_sweep_containment_guard():
     )
     with pytest.raises(ValueError, match="leaves the field's region"):
         discs.subharmonicity_sweep(
-            bf, runaway, inside=lambda x: float(ball.phi(x)) <= 1e-9
+            bf, runaway, inside=lambda x: ball.phi(x) <= 1e-9
         )
 
 

@@ -261,6 +261,121 @@ def test_reach_empty_rejected():
         tubular.reach_estimate(surfaces.sphere(), np.zeros((0, 3)))
 
 
+def test_reach_estimate_projection_counts():
+    # catenoid, 144 samples, 12 probes: bisecting every failing ray one level
+    # per call took 41 cold calls on 864 points
+    cat = surfaces.catenoid()
+    calls = []
+    project = tubular.project_batch
+
+    def counting(domain, points, **kw):
+        calls.append(len(np.atleast_2d(points)))
+        return project(domain, points, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubular, "project_batch", counting)
+        est = tubular.reach_estimate(cat, cat.boundary_samples(144), probe_count=12)
+    assert est.value == 0.9996039413508695
+    assert (len(calls), sum(calls)) == (13, 198)
+
+
+# ---------------------------------------------------------------------------
+# the pruned bisection against each ray bisected alone
+
+
+def hashed_predicate(keys, bias):
+    """Non-monotone, bit-deterministic: the bits of the offset hashed with
+    the ray's key; rays sharing a key answer alike."""
+
+    def below(mid, rows):
+        h = mid.view(np.uint64) * keys[rows]
+        return (h >> np.uint64(40)) % np.uint64(1000) < bias[rows]
+
+    return below
+
+
+def threshold_predicate(thresholds):
+    return lambda mid, rows: mid < thresholds[rows]
+
+
+def sequential_finals(below, lo, hi, iters):
+    """Each ray bisected alone, one predicate call per midpoint."""
+    finals = np.empty(len(lo))
+    for r in range(len(lo)):
+        a, b = lo[r : r + 1].copy(), hi[r : r + 1].copy()
+        for _ in range(iters):
+            mid = 0.5 * (a + b)
+            up = below(mid, np.array([r]))
+            a, b = np.where(up, mid, a), np.where(up, b, mid)
+        finals[r] = a[0]
+    return finals
+
+
+def pruned_min(below, lo, hi, iters):
+    sizes = []
+
+    def recording(mid, rows):
+        assert mid.shape == rows.shape
+        sizes.append(len(mid))
+        return below(mid, rows)
+
+    got, _ = tubular.bisect(recording, lo, hi, iters, prune=True)
+    assert max(sizes, default=0) <= max(tubular.BISECT_POINTS, len(lo))
+    return float(np.min(got)), sizes
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("iters", [1, 5, 40, 41, 43])
+def test_pruned_bisection_min_matches_sequential_on_random_predicates(seed, iters):
+    rng = np.random.default_rng(seed)
+    rays = int(rng.integers(1, 24))
+    # a few keys and brackets shared by several rays: exact ties
+    keys = rng.integers(1, 2**63, size=max(1, rays // 3), dtype=np.uint64) | np.uint64(1)
+    pick = rng.integers(0, len(keys), size=rays)
+    lo = np.round(rng.uniform(0.0, 0.5, size=len(keys)), 1)[pick]
+    hi = lo + np.round(rng.uniform(0.1, 1.0, size=len(keys)), 1)[pick]
+    below = hashed_predicate(keys[pick], rng.integers(200, 800, size=rays))
+    want = np.min(sequential_finals(below, lo, hi, iters))
+    got, _ = pruned_min(below, lo, hi, iters)
+    assert got == want
+
+
+@pytest.mark.parametrize("iters", [7, 40, 41])
+def test_pruned_bisection_keeps_tied_rays(iters):
+    # every ray of a ball crosses at its centre: the brackets never separate,
+    # nothing is pruned, and the level count stays at what the budget allows
+    rays = 14
+    below = threshold_predicate(np.full(rays, 0.7))
+    lo, hi = np.zeros(rays), np.full(rays, 2.0)
+    got, sizes = pruned_min(below, lo, hi, iters)
+    assert got == sequential_finals(below, lo, hi, iters)[0]
+    assert sizes == [rays] * iters
+
+
+def test_pruned_bisection_follows_a_late_switch_of_the_minimum():
+    # ray 0 holds the smallest hi for many levels, ray 1 ends lower
+    thresholds = np.array([0.5 - 1.0e-9, 0.5 - 1.1e-9])
+    below = threshold_predicate(thresholds)
+    lo, hi = np.array([0.0, 0.2]), np.array([1.0, 0.9])
+    _, early_hi = tubular.bisect(lambda m: m < thresholds, lo, hi, 10)
+    finals = sequential_finals(below, lo, hi, 40)
+    assert early_hi[0] < early_hi[1] and finals[1] < finals[0]
+    got, sizes = pruned_min(below, lo, hi, 40)
+    assert got == finals[1]
+    assert len(sizes) < 40  # several levels per call once few rays are live
+
+
+@pytest.mark.parametrize("iters", [0, 1, 6, 40, 41])
+def test_plain_bisection_keeps_every_bracket(iters):
+    rng = np.random.default_rng(7)
+    keys = rng.integers(1, 2**63, size=9, dtype=np.uint64) | np.uint64(1)
+    below = hashed_predicate(keys, rng.integers(200, 800, size=9))
+    lo, hi = rng.uniform(0.0, 0.5, size=9), rng.uniform(0.6, 1.5, size=9)
+    rows = np.arange(9)
+    got, _ = tubular.bisect(lambda m: below(m, rows), lo, hi, iters)
+    assert np.array_equal(got, sequential_finals(below, lo, hi, iters))
+
+
 def test_curvature_bounds_examples():
     ball = surfaces.sphere()
     rep = tubular.curvature_bounds_check(ball, 1.0, 2, ball.boundary_samples(32))
