@@ -547,14 +547,15 @@ def _bisect_levels(bf: BarrierFunction, base: np.ndarray, levels, iters: int = 4
     tvals = np.repeat(np.asarray(levels, dtype=float), len(base))
     targets = np.repeat([bf.level_delta(t) for t in levels], len(base))
 
-    def gap(s):
-        x = origins + s[:, None] * inners
-        _, dlt, _ = tubular.project_batch(bf.domain, x, warm_feet=origins)
-        return bf.value_from_delta(dlt) - tvals
+    def gap(s, rows):
+        x = origins[rows] + s[:, None] * inners[rows]
+        _, dlt, _ = tubular.project_batch(bf.domain, x, warm_feet=origins[rows])
+        return bf.value_from_delta(dlt) - tvals[rows]
 
     hi = np.full(len(origins), bf.collar.eps1)
-    valid = gap(hi) < 0.0  # rho decreases into the domain, level is bracketed
-    lo, hi = tubular.bisect(lambda s: gap(s) > 0.0, np.zeros(len(origins)), hi, iters)
+    # rho decreases into the domain, level is bracketed
+    valid = gap(hi, np.arange(len(origins))) < 0.0
+    lo, hi = tubular.bisect(lambda s, rows: gap(s, rows) > 0.0, np.zeros(len(origins)), hi, iters)
     s = 0.5 * (lo + hi)
     located = origins + s[:, None] * inners
     return located[valid], targets[valid]

@@ -70,7 +70,6 @@ class MetricEstimate:
     witness: DiscWitness
     offset: float
     containment_checked: bool
-    exact_on_ball: bool = False
 
 
 # the disc search: coarse plane orientations, golden-section steps refining
@@ -129,34 +128,26 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int):
 
 def _circle_margin(domain, center, u, w, radius, angles):
     """Max of phi over the boundary circle, golden-refined."""
-    th = 2.0 * np.pi * np.arange(angles) / angles
-    pts = center + radius * np.cos(th)[:, None] * u + radius * np.sin(th)[:, None] * w
-    vals = np.asarray(domain.phi(pts), dtype=float)
+    vals = np.asarray(domain.phi(plane_ring(center, np.stack([u, w]), radius, angles)), dtype=float)
     k = int(np.argmax(vals))
     best = float(vals[k])
     span = 2.0 * np.pi / angles
+    th = 2.0 * np.pi * k / angles
 
     def at(theta: float) -> float:
         x = center + radius * (math.cos(theta) * u + math.sin(theta) * w)
         return float(domain.phi(x))
 
-    _, refined = _golden_max(at, th[k] - span, th[k] + span, 40)
+    _, refined = _golden_max(at, th - span, th + span, 40)
     return max(best, refined)
 
 
 def _lattice_margin(domain, center, u, w, radius, radii, angles):
     rr = (radius * (np.arange(1, radii + 1) / radii))[:, None, None]
-    th = 2.0 * np.pi * np.arange(angles) / angles
-    pts = center + rr * np.cos(th)[:, None] * u + rr * np.sin(th)[:, None] * w
+    pts = plane_ring(center, np.stack([u, w]), rr, angles)
     vals = np.asarray(domain.phi(pts.reshape(-1, center.size)), dtype=float)
     vals = np.append(vals, float(domain.phi(center)))
     return float(np.max(vals))
-
-
-def _circle_ring(u, w, angles):
-    """The (A, n) unit circle of the plane span(u, w) at A = angles equal steps."""
-    th = 2.0 * np.pi * np.arange(angles) / angles
-    return np.cos(th)[:, None] * u + np.sin(th)[:, None] * w
 
 
 def _circle_margins_many(domain, centers, rings, plane, radii):
@@ -249,7 +240,7 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
 def _certified_disc_radius(domain, center, u, w) -> float:
     """The radius of ``_disc_radii`` at one center, finished by a bisection
     on golden-refined circle maxima for certification."""
-    ring = _circle_ring(u, w, LATTICE_ANGLES)
+    ring = plane_ring(0.0, np.stack([u, w]), 1.0, LATTICE_ANGLES)
     radius, top = _disc_radii(domain, center[None, :], ring)
     lo, hi = float(radius[0]), float(top[0])
     if math.isnan(hi):
@@ -360,7 +351,7 @@ def _search(domain, p, v):
     def plane(theta: float):
         """The disc plane's second spanning vector at theta and its unit circle."""
         w = math.cos(theta) * comp[0] + math.sin(theta) * comp[1]
-        return w, _circle_ring(vhat, w, LATTICE_ANGLES)
+        return w, plane_ring(0.0, np.stack([vhat, w]), 1.0, LATTICE_ANGLES)
 
     def centers(w, offsets):
         """The disc centers p + s1 vhat + s2 w of in-plane offsets s1 + i s2."""
@@ -425,15 +416,17 @@ def _search(domain, p, v):
         if r > best_r:
             best_r, best = r, (theta, at, radius, s)
 
+    # the estimate when no disc is found, or the last one still leaves the domain
+    no_disc = MetricEstimate(
+        point=p,
+        direction=v,
+        bound=math.inf,
+        witness=DiscWitness(p, 0.0, vhat, comp[0]),
+        offset=0.0,
+        containment_checked=False,
+    )
     if best is None or best_r <= 0.0:
-        return MetricEstimate(
-            point=p,
-            direction=v,
-            bound=math.inf,
-            witness=DiscWitness(p, 0.0, vhat, comp[0]),
-            offset=0.0,
-            containment_checked=False,
-        )
+        return no_disc
 
     theta_b, at, radius, s_b = best
     wit_b = witness(at[0], s_b, radius)
@@ -470,6 +463,8 @@ def _search(domain, p, v):
         if max(lat, _circle_margin(*disc, LATTICE_ANGLES)) <= CONTAINMENT_MARGIN:
             break
         radius *= 0.999
+    else:
+        return no_disc
     wit_fin = DiscWitness(center=wit_fin.center, radius=radius, u=wit_fin.u, w=wit_fin.w)
     r_eff = (radius * radius - a_b * a_b) / radius
     if r_eff <= 0.0:
@@ -482,7 +477,6 @@ def _search(domain, p, v):
         witness=wit_fin,
         offset=float(a_b),
         containment_checked=True,
-        exact_on_ball=(domain.name == "sphere"),
     )
 
 
@@ -681,10 +675,8 @@ def _vertical_disc_inside(dom: OmegaD, center, u, radius, rings=16, spokes=32) -
     t = np.linspace(-radius, radius, 65)
     if not np.all(dom.membership(center[0] + t * u[0], center[1] + t * u[1])):
         return False
-    r = radius * (np.arange(1, rings + 1) / rings)[:, None]
-    th = 2.0 * np.pi * np.arange(spokes) / spokes
-    pts = center + (r * np.cos(th))[..., None] * u
-    pts[..., 2] += r * np.sin(th)
+    r = radius * (np.arange(1, rings + 1) / rings)[:, None, None]
+    pts = plane_ring(center, np.stack([u, [0.0, 0.0, 1.0]]), r, spokes)
     return bool(np.all(omega_d_membership(dom, pts)))
 
 
@@ -732,9 +724,11 @@ class PlaneWitness:
     span: np.ndarray  # (2, n) orthonormal
 
 
-def plane_ring(base: np.ndarray, span: np.ndarray, radius: float, probes: int) -> np.ndarray:
+def plane_ring(base, span: np.ndarray, radius, probes: int) -> np.ndarray:
     """``probes`` equally spaced points at ``radius`` around ``base`` in each
-    plane of a (..., 2, n) stack of orthonormal spans: shape (..., probes, n)."""
+    plane of a (..., 2, n) stack of orthonormal spans: shape (..., probes, n).
+    An array ``radius`` of shape (R, 1, 1) with one (2, n) span gives R
+    concentric rings, shape (R, probes, n)."""
     angles = 2.0 * np.pi * np.arange(probes) / probes
     return (
         base

@@ -467,19 +467,20 @@ def reach_estimate(
 def bisect(below, lo: np.ndarray, hi: np.ndarray, iters: int, *, prune: bool = False):
     """Bisect many brackets at once; returns the final ``(lo, hi)``.
 
-    ``below(mid)`` marks the rows whose crossing lies beyond ``mid``: those
-    rows move ``lo`` up to ``mid``, the others move ``hi`` down to it.
+    ``below(mid, rows)`` marks the midpoints beyond which the crossing of
+    their row lies, ``rows`` giving the row of each ``mid``: those rows move
+    ``lo`` up to ``mid``, the others move ``hi`` down to it. Without
+    ``prune``, each call holds one midpoint per row, in row order.
 
     With ``prune`` only ``min(lo)`` is wanted. Before each round, a row whose
     ``lo`` is at or above the smallest ``hi`` of the live rows is dropped: its
     final ``lo`` cannot fall below the final ``lo`` of the row holding that
     ``hi``, since ``lo`` only rises and ``hi`` only falls. A dropped row keeps
     the bracket it had, so ``min(lo)`` is still exact, whether or not
-    ``below`` is monotone. The
-    live rows then advance by as many levels as fit ``BISECT_POINTS``: one
-    call ``below(mid, rows)``, ``rows`` giving the row of each ``mid``,
-    evaluates every midpoint those levels could visit, and the walk down that
-    tree takes the bits of the one-level loop.
+    ``below`` is monotone. The live rows then advance by as many levels as
+    fit ``BISECT_POINTS``: one call evaluates every midpoint those levels
+    could visit, and the walk down that tree takes the bits of the one-level
+    loop.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     live = np.arange(lo.size)
@@ -499,7 +500,7 @@ def bisect(below, lo: np.ndarray, hi: np.ndarray, iters: int, *, prune: bool = F
             lo_t += [lo_t[k], mid[k]]
             hi_t += [mid[k], hi_t[k]]
         mid = np.concatenate(mid)
-        up = below(mid, np.tile(live, 2**levels - 1)) if prune else below(mid)
+        up = below(mid, np.tile(live, 2**levels - 1))
         node = np.zeros(live.size, dtype=int)
         cols = np.arange(live.size)
         for _ in range(levels):

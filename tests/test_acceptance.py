@@ -149,7 +149,7 @@ def test_criterion_3_curvature_bounds():
 
 def build_acceptance_barrier(name):
     domain = surfaces.make_domain(name)
-    if domain.exact_sdf:
+    if domain.exact_projection is not None:
         eps = float(domain.reach_hint)
     else:
         est = tubular.reach_estimate(domain, domain.boundary_samples(128), probe_count=8)

@@ -1,5 +1,6 @@
 import copy
 import glob
+import inspect
 import os
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mconvex import cli, config, discs, report
+from mconvex import cli, config, discs, report, surfaces
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -239,15 +240,28 @@ def test_docs_tables_match_schema():
     ranges = {}
     for name, key in schema_rows(config.SCHEMA):
         ranges.setdefault(name, set()).add(key.range or "-")
-    documented = {}
+    documented, domain_rows = {}, {}
     with open(os.path.join(ROOT, "docs", "config.md"), encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("| `"):
                 cells = [cell.strip() for cell in line.split("|")[1:-1]]
                 (name,) = re.findall(r"`([^`]+)`", cells[0])
                 documented[name] = {cells[3].strip("`")}
+                if name.startswith("domain."):
+                    domain_rows[name] = (cells[2], cells[4])
     assert set(documented) == set(ranges)
     assert documented == ranges
+    # the domain rows: each builder parameter with its default and the
+    # builders taking it, in catalog order
+    defaults = {}
+    for builder, build in surfaces.DOMAIN_BUILDERS.items():
+        for arg in inspect.signature(build).parameters.values():
+            defaults.setdefault(f"domain.{arg.name}", {})[builder] = arg.default
+    expected = {key: ({f"`{d!r}`" for d in by.values()}, ", ".join(f"`{b}`" for b in by))
+                for key, by in defaults.items()}
+    expected["domain.name"] = ({f"`{config.SCHEMA['domain.name'].default}`"},
+                               ", ".join(f"`{b}`" for b in surfaces.DOMAIN_BUILDERS))
+    assert {key: ({default}, notes) for key, (default, notes) in domain_rows.items()} == expected
 
 
 def test_validate_fills_defaults():

@@ -65,6 +65,38 @@ def test_metric_witness_disc_inside_domain():
     assert np.linalg.norm(offset) <= wit.radius
 
 
+def holed_ball(hole=(0.45, 0.0, 0.0), hole_radius=0.03):
+    """The unit ball minus a small closed ball: phi is the larger of the two
+    distance terms, grad the unit normal of the term attaining it."""
+    c = np.array(hole)
+
+    def terms(x):
+        return np.linalg.norm(x, axis=-1) - 1.0, hole_radius - np.linalg.norm(x - c, axis=-1)
+
+    def phi(x):
+        return np.maximum(*terms(x))
+
+    def grad(x):
+        outer, inner = terms(x)
+        to_hole = (c - x) / np.linalg.norm(x - c, axis=-1, keepdims=True)
+        return np.where((outer >= inner)[..., None], x / np.linalg.norm(x, axis=-1, keepdims=True),
+                        to_hole)
+
+    return surfaces.ImplicitDomain("holed-ball", 3, phi, grad,
+                                   lambda x: np.zeros(np.shape(x) + (3,)))
+
+
+def test_metric_disc_still_outside_after_shrinking_certifies_nothing():
+    # the final witness of this pair fails its lattice check after all 60
+    # radius shrink steps (124 of 79,600 polar points of the disc were
+    # outside): the search must not claim a certified bound for it
+    p = np.array([0.466510478745201, -0.08826736280877501, 0.03393068502209852])
+    v = np.array([0.3290705269267498, -0.09091017751389677, 0.35734678009100607])
+    est = hyp.metric_upper_bound(holed_ball(), p, v)
+    assert est.bound == np.inf and not est.containment_checked
+    assert est.witness.radius == 0.0 and est.offset == 0.0
+
+
 def test_metric_monotone_under_inclusion():
     small = surfaces.cylinder(1.0)
     large = surfaces.cylinder(1.5)

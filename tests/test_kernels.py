@@ -7,12 +7,14 @@ Weierstrass integration, the per-point composed Laplacian and
 subharmonicity sweep, the pull loop of the cold projection over every
 start row with axis-wise norms, the per-ray reach bisection, the per-point
 nearest-foot census, the cold level bisection, the axis-norm catenoid
-radius, and the per-center disc radius and one-offset-at-a-time pattern
+radius, the sphere and cylinder closures that came before their shared
+radial kernel, and the per-center disc radius and one-offset-at-a-time pattern
 search of the disc search. Every kernel row must match its reference within
 1e-12 * (1 + |reference|); the warm-started level bisection must keep the
 same rays and levels and locate its points within 1e-12 of the cold ones;
 the sweep, the integration, the projection, the reach estimate, the census,
-the catenoid jets and the disc search must match exactly. The cold and warm
+the catenoid, sphere and cylinder fields and the disc search must match
+exactly (the Hessians up to the sign of an exact zero). The cold and warm
 projection (``test_projection_matches_reference_pull_loop``, the catenoid
 axis and the failing Scherk point) must give the reference's feet,
 distances and multiplicities bit for bit, and a point with no converged
@@ -614,7 +616,7 @@ def ref_bisect_levels(bf, base, levels, iters=48):
 
     hi = np.full(len(origins), bf.collar.eps1)
     valid = gap(hi) < 0.0
-    lo, hi = tubular.bisect(lambda s: gap(s) > 0.0, np.zeros(len(origins)), hi, iters)
+    lo, hi = tubular.bisect(lambda s, _: gap(s) > 0.0, np.zeros(len(origins)), hi, iters)
     s = 0.5 * (lo + hi)
     located = origins + s[:, None] * inners
     return located[valid], targets[valid]
@@ -785,6 +787,111 @@ def test_sphere_phi_rounds_as_axis_norm():
     assert all(ball.phi(row) == np.linalg.norm(row, axis=-1) - 0.7 for row in x[:200])
 
 
+def ref_sphere_fields(r):
+    """phi, grad, hess and the exact projection of the sphere as its builder
+    wrote them before the shared radial kernel."""
+
+    def phi(x):
+        return np.sqrt(numkit.axis_sum(np.square(np.asarray(x, dtype=float)))) - r
+
+    def grad(x):
+        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / np.maximum(nrm, 1e-300)
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        nrm = np.linalg.norm(x, axis=-1)[..., None, None]
+        unit = x / np.maximum(nrm[..., 0], 1e-300)
+        eye = np.broadcast_to(np.eye(3), x.shape + (3,))
+        return (eye - unit[..., :, None] * unit[..., None, :]) / np.maximum(nrm, 1e-300)
+
+    def project(x):
+        x = np.asarray(x, dtype=float)
+        nrm = np.linalg.norm(x, axis=-1)
+        delta = nrm - r
+        safe = np.maximum(nrm, 1e-300)
+        foot = x * (r / safe)[..., None]
+        multiplicity = np.where(nrm < 1e-12, np.inf, 1.0)
+        return foot, delta, multiplicity
+
+    return phi, grad, hess, project
+
+
+def ref_cylinder_fields(r):
+    """The same four closures of the cylinder."""
+
+    def rho(x):
+        return np.linalg.norm(np.asarray(x, dtype=float)[..., :2], axis=-1)
+
+    def phi(x):
+        return rho(x) - r
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        rr = np.maximum(rho(x), 1e-300)
+        g = np.zeros_like(x)
+        g[..., 0] = x[..., 0] / rr
+        g[..., 1] = x[..., 1] / rr
+        return g
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        rr = np.maximum(rho(x), 1e-300)
+        ux = x[..., 0] / rr
+        uy = x[..., 1] / rr
+        h = np.zeros(x.shape + (3,))
+        h[..., 0, 0] = (1.0 - ux * ux) / rr
+        h[..., 1, 1] = (1.0 - uy * uy) / rr
+        h[..., 0, 1] = -ux * uy / rr
+        h[..., 1, 0] = h[..., 0, 1]
+        return h
+
+    def project(x):
+        x = np.asarray(x, dtype=float)
+        rr = rho(x)
+        delta = rr - r
+        safe = np.maximum(rr, 1e-300)
+        foot = x.copy()
+        foot[..., 0] = x[..., 0] * (r / safe)
+        foot[..., 1] = x[..., 1] * (r / safe)
+        multiplicity = np.where(rr < 1e-12, np.inf, 1.0)
+        return foot, delta, multiplicity
+
+    return phi, grad, hess, project
+
+
+@pytest.mark.parametrize("name, radius", [("sphere", 1.0), ("sphere", 0.7),
+                                          ("cylinder", 1.0), ("cylinder", 2.5)])
+def test_round_domains_match_per_domain_closures(name, radius):
+    domain = surfaces.make_domain(name, radius=radius)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3000, 3)) * rng.uniform(1e-3, 1e3, (3000, 1))
+    # the centre, points on the x3-axis, and points within 1e-12 of it
+    special = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.4],
+                        [0.0, 0.0, -2.0], [1e-13, 0.0, 0.3], [3e-13, -4e-13, 0.0],
+                        [0.0, 0.0, radius], [radius, 0.0, 0.0]])
+    x = np.vstack([x, special])
+
+    def fields(dom_phi, dom_grad, dom_hess, dom_project, pts):
+        return (dom_phi(pts), dom_grad(pts), *dom_project(pts)), dom_hess(pts)
+
+    def same(got, want):
+        # bit for bit, but for the sign of an exact-zero Hessian entry
+        (values, hess), (ref_values, ref_hess) = got, want
+        for a, b in zip(values, ref_values):
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.shape(hess) == np.shape(ref_hess) and np.array_equal(hess, ref_hess)
+
+    mine = (domain.phi, domain.grad, domain.hess, domain.exact_projection)
+    ref = {"sphere": ref_sphere_fields, "cylinder": ref_cylinder_fields}[name](radius)
+    same(fields(*mine, x), fields(*ref, x))
+    y = x[:3000].reshape(10, 300, 3)
+    same(fields(*mine, y), fields(*ref, y))
+    for row in list(x[:100]) + list(special):
+        same(fields(*mine, row), fields(*ref, row))
+
+
 def ref_catenoid_jets(x, s):
     x = np.asarray(x, dtype=float)
     rho = np.linalg.norm(x[..., :2], axis=-1)
@@ -832,7 +939,7 @@ def test_disc_radii_match_per_center_search(name, monkeypatch):
     centers[0] = [0.0, 0.0, 2.0]  # outside: radius 0
     centers[1] = 0.5 * u  # the first circle already leaves the ball
     centers[2:4] = [0.99 * normal, 0.9 * normal]  # the radius grows 5 and 2 times
-    ring = hyperbolicity._circle_ring(u, w, hyperbolicity.LATTICE_ANGLES)
+    ring = hyperbolicity.plane_ring(0.0, np.stack([u, w]), 1.0, hyperbolicity.LATTICE_ANGLES)
     for c in centers[:4]:
         got = hyperbolicity._certified_disc_radius(domain, c, u, w)
         assert got == ref_max_disc_radius(domain, c, u, w, refine=True)
@@ -866,7 +973,8 @@ def test_pruned_disc_radii_are_sound(name):
     rings = []
     for normal in rng.standard_normal((3, 3)):
         u, w = numkit.orthonormal_complement(normal / np.linalg.norm(normal))
-        rings.append(hyperbolicity._circle_ring(u, w, hyperbolicity.LATTICE_ANGLES))
+        rings.append(
+            hyperbolicity.plane_ring(0.0, np.stack([u, w]), 1.0, hyperbolicity.LATTICE_ANGLES))
     rings = np.stack(rings)
     centers = rng.uniform(-0.5, 0.5, (30, 3))
     plane = rng.integers(0, len(rings), len(centers))

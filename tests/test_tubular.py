@@ -357,7 +357,7 @@ def test_pruned_bisection_follows_a_late_switch_of_the_minimum():
     thresholds = np.array([0.5 - 1.0e-9, 0.5 - 1.1e-9])
     below = threshold_predicate(thresholds)
     lo, hi = np.array([0.0, 0.2]), np.array([1.0, 0.9])
-    _, early_hi = tubular.bisect(lambda m: m < thresholds, lo, hi, 10)
+    _, early_hi = tubular.bisect(below, lo, hi, 10)
     finals = sequential_finals(below, lo, hi, 40)
     assert early_hi[0] < early_hi[1] and finals[1] < finals[0]
     got, sizes = pruned_min(below, lo, hi, 40)
@@ -371,8 +371,7 @@ def test_plain_bisection_keeps_every_bracket(iters):
     keys = rng.integers(1, 2**63, size=9, dtype=np.uint64) | np.uint64(1)
     below = hashed_predicate(keys, rng.integers(200, 800, size=9))
     lo, hi = rng.uniform(0.0, 0.5, size=9), rng.uniform(0.6, 1.5, size=9)
-    rows = np.arange(9)
-    got, _ = tubular.bisect(lambda m: below(m, rows), lo, hi, iters)
+    got, _ = tubular.bisect(below, lo, hi, iters)
     assert np.array_equal(got, sequential_finals(below, lo, hi, iters))
 
 
