@@ -12,6 +12,7 @@ docs/config.md documents the same table.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -286,6 +287,8 @@ def _value(path: str, key: Key, value):
         value = float(value)
     if not isinstance(value, key.type) or (isinstance(value, bool) and key.type is not bool):
         raise ConfigError(path, f"expected {key.type.__name__}, got {type(value).__name__}")
+    if key.type is float and not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
     if key.choices is not None and value not in key.choices:
         raise ConfigError(path, f"must be one of {list(key.choices)}, got {value!r}")
     size = len(value) if key.type is list else value

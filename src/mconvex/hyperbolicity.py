@@ -175,7 +175,8 @@ def _first_exit(domain, centers, rings, plane, radii, stop, chunk):
             _circle_margins_many(domain, centers[b], rings, plane[b], radii[b, k:k + chunk])
             for b in (left[i:i + rows] for i in range(0, left.size, rows))
         ])
-        hit = (hit > CONTAINMENT_MARGIN) | stop[left, k:k + chunk]
+        # a NaN sample makes the maximum NaN, which is not inside
+        hit = ~(hit <= CONTAINMENT_MARGIN) | stop[left, k:k + chunk]
         done = hit.any(axis=1)
         first[left[done]] = k + np.argmax(hit[done], axis=1)
         left = left[~done]
@@ -187,7 +188,8 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     each final bracket (NaN where the radius is 0, outside the margin, or the
     cap): a growing radius brackets the boundary and three 16-radius grids
     narrow the bracket, each step batched over the centers; a row rounds
-    exactly as a one-center search.
+    exactly as a one-center search. A centre or circle is inside only where
+    phi is at most ``CONTAINMENT_MARGIN``, so a NaN value counts as outside.
 
     Row i lies in the plane of the unit ring ``rings[plane[i]]`` of a
     (P, A, n) table; without ``plane``, ``rings`` is one (A, n) ring for
@@ -201,7 +203,7 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
         rings, plane = rings[None], np.zeros(len(centers), dtype=int)
     radius, hi = np.zeros(len(centers)), np.full(len(centers), np.nan)
     phi0 = np.asarray(domain.phi(centers), dtype=float)
-    rows = np.flatnonzero(~(phi0 > CONTAINMENT_MARGIN))
+    rows = np.flatnonzero(phi0 <= CONTAINMENT_MARGIN)
     if rows.size == 0:
         return radius, hi
     radius[rows] = RADIUS_CAP
@@ -340,7 +342,7 @@ def _caught(search):
 def _search(domain, p, v):
     """The disc search of one pair (p, v), as a search generator (see
     ``_lockstep``) whose value is its ``MetricEstimate``."""
-    if float(domain.phi(p)) >= 0.0:
+    if not float(domain.phi(p)) < 0.0:  # a NaN value is not inside
         raise OutsideDomainError(f"base point {p.tolist()} is not inside the domain")
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:

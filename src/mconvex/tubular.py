@@ -31,6 +31,9 @@ EQUAL_DISTANCE_TOL = 1e-7
 # midpoints a pruned bisection hands ``below`` per call, at most (one level
 # always runs)
 BISECT_POINTS = 16
+# start rows one pass of pulls and polish holds: 256 cold query points, so a
+# warm call (one row per point) of up to 4,352 points is never split
+BLOCK_ROWS = 256 * (STARTS + 1)
 
 
 class ProjectionError(RuntimeError):
@@ -160,6 +163,11 @@ def project_batch(
     tangential pulls followed by a Lagrange-Newton polish. Rows are
     independent: a point gets the same bits alone as inside any batch.
 
+    The seeding, pulls and polish run in blocks of at most ``BLOCK_ROWS``
+    (4,352) start rows, 256 cold points; the foot selection and the census
+    run once over the whole batch, so memory grows with the batch only
+    through the per-point outputs of the blocks and of the selection.
+
     ``warm_feet`` supplies one known-good starting foot per point (for
     example the foot of a nearby point when evaluating difference
     stencils); it replaces the multi-start seeding, so it must only be used
@@ -173,63 +181,22 @@ def project_batch(
     nb, dim = x.shape
     # diverging starts overflow to inf and NaN; the ok mask below drops them
     with np.errstate(over="ignore", invalid="ignore"):
-        if warm_feet is not None:
+        warm = warm_feet is not None
+        if warm:
+            starts = np.asarray(warm_feet, dtype=float).reshape(nb, dim)
             ns = 1
-            warm = np.asarray(warm_feet, dtype=float).reshape(nb, dim)
-            p = _newton_to_surface(domain, warm, reps=3)
         else:
-            # the boundary seeds are Newton-polished once for all points; the
-            # query point itself gets three Newton reps to seed, three to polish
-            seeds = _newton_to_surface(domain, domain.boundary_samples(STARTS), reps=3)
-            ns = seeds.shape[0] + 1
-            p = np.empty((nb, ns, dim))
-            p[:, :-1, :] = seeds[None, :, :]
-            p[:, -1, :] = _newton_to_surface(domain, x, reps=6)
-            p = p.reshape(nb * ns, dim)
-        xq = np.repeat(x, ns, axis=0)
+            # the boundary seeds are Newton-polished once for all points
+            starts = _newton_to_surface(domain, domain.boundary_samples(STARTS), reps=3)
+            ns = starts.shape[0] + 1
+        p = np.empty((nb, ns, dim))
+        phi_feet, tang_res = np.empty((nb, ns)), np.empty((nb, ns))
+        size = max(1, BLOCK_ROWS // ns)
+        for lo in range(0, nb, size):
+            blk = slice(lo, lo + size)
+            p[blk], phi_feet[blk], tang_res[blk] = _candidates(
+                domain, x[blk], starts[blk] if warm else starts, warm)
 
-        # Damped tangential pulls (full steps oscillate near focal configurations);
-        # the rows still moving stay contiguous in pa and xa until they stop
-        pa, xa, rows = p, xq, np.arange(len(p))
-        for _ in range(MAX_PULL_ITERS):
-            g = domain.grad(pa)
-            g /= np.maximum(np.sqrt(numkit.axis_sum(g * g)), 1e-300)[:, None]
-            d = xa - pa
-            step = d - numkit.axis_sum(d * g)[:, None] * g
-            step *= 0.6  # the damping
-            slen = np.sqrt(numkit.axis_sum(step * step))
-            cap = 0.5 * (1.0 + np.sqrt(numkit.axis_sum(d * d)))
-            step *= np.minimum(1.0, cap / np.maximum(slen, 1e-300))[:, None]
-            pa = _newton_to_surface(domain, pa + step, reps=2)
-            moved = np.sqrt(numkit.axis_sum(step * step)) >= 0.01 * TOL
-            if not moved.all():
-                p[rows[~moved]] = pa[~moved]
-                pa, xa, rows = pa[moved], xa[moved], rows[moved]
-                if rows.size == 0:
-                    break
-        p[rows] = pa
-
-        # Non-destructive: the polished candidate only replaces the pull result
-        # where it ends up strictly closer to the surface-optimality conditions.
-        p2 = _newton_polish(domain, p, xq, ns)
-
-        def residuals(cand):
-            phi_c = np.abs(domain.phi(cand))
-            g_c = domain.grad(cand)
-            gsq = np.maximum(numkit.axis_sum(g_c * g_c), 1e-280)
-            d_c = xq - cand
-            g_c *= (numkit.axis_sum(d_c * g_c) / gsq)[:, None]
-            d_c -= g_c
-            return phi_c, np.sqrt(numkit.axis_sum(d_c * d_c))
-
-        phi_a, tang_a = residuals(p)
-        phi_b, tang_b = residuals(p2)
-    take_b = (phi_b + tang_b) < (phi_a + tang_a)
-    p = np.where(take_b[:, None], p2, p)
-    phi_feet = np.where(take_b, phi_b, phi_a).reshape(nb, ns)
-    tang_res = np.where(take_b, tang_b, tang_a).reshape(nb, ns)
-
-    p = p.reshape(nb, ns, dim)
     scale = 1.0 + np.sqrt(numkit.axis_sum(x * x))
     ok = phi_feet <= 1e-9 * scale[:, None]
     ok &= tang_res <= 1e3 * TOL * scale[:, None]
@@ -257,6 +224,71 @@ def project_batch(
     sign = np.where(domain.phi(x) >= 0.0, 1.0, -1.0)
     delta = sign * best
     return feet, delta, mult
+
+
+def _candidates(domain: ImplicitDomain, x: np.ndarray, starts: np.ndarray, warm: bool):
+    """Pulled and polished start rows of the points ``x`` (b, n): the
+    candidate feet (b, S, n) with their ``|phi|`` and tangential residuals
+    (b, S).
+
+    Warm, ``starts`` holds one foot per point, S = 1. Cold, it holds the
+    polished boundary seeds every point starts from, and each point also
+    starts from itself, S = len(starts) + 1.
+    """
+    nb, dim = x.shape
+    if warm:
+        ns = 1
+        p = _newton_to_surface(domain, starts, reps=3)
+    else:
+        # the query point itself gets three Newton reps to seed, three to polish
+        ns = starts.shape[0] + 1
+        p = np.empty((nb, ns, dim))
+        p[:, :-1, :] = starts[None, :, :]
+        p[:, -1, :] = _newton_to_surface(domain, x, reps=6)
+        p = p.reshape(nb * ns, dim)
+    xq = np.repeat(x, ns, axis=0)
+
+    # Damped tangential pulls (full steps oscillate near focal configurations);
+    # the rows still moving stay contiguous in pa and xa until they stop
+    pa, xa, rows = p, xq, np.arange(len(p))
+    for _ in range(MAX_PULL_ITERS):
+        g = domain.grad(pa)
+        g /= np.maximum(np.sqrt(numkit.axis_sum(g * g)), 1e-300)[:, None]
+        d = xa - pa
+        step = d - numkit.axis_sum(d * g)[:, None] * g
+        step *= 0.6  # the damping
+        slen = np.sqrt(numkit.axis_sum(step * step))
+        cap = 0.5 * (1.0 + np.sqrt(numkit.axis_sum(d * d)))
+        step *= np.minimum(1.0, cap / np.maximum(slen, 1e-300))[:, None]
+        pa = _newton_to_surface(domain, pa + step, reps=2)
+        moved = np.sqrt(numkit.axis_sum(step * step)) >= 0.01 * TOL
+        if not moved.all():
+            p[rows[~moved]] = pa[~moved]
+            pa, xa, rows = pa[moved], xa[moved], rows[moved]
+            if rows.size == 0:
+                break
+    p[rows] = pa
+
+    # Non-destructive: the polished candidate only replaces the pull result
+    # where it ends up strictly closer to the surface-optimality conditions.
+    p2 = _newton_polish(domain, p, xq, ns)
+
+    def residuals(cand):
+        phi_c = np.abs(domain.phi(cand))
+        g_c = domain.grad(cand)
+        gsq = np.maximum(numkit.axis_sum(g_c * g_c), 1e-280)
+        d_c = xq - cand
+        g_c *= (numkit.axis_sum(d_c * g_c) / gsq)[:, None]
+        d_c -= g_c
+        return phi_c, np.sqrt(numkit.axis_sum(d_c * d_c))
+
+    phi_a, tang_a = residuals(p)
+    phi_b, tang_b = residuals(p2)
+    take_b = (phi_b + tang_b) < (phi_a + tang_a)
+    p = np.where(take_b[:, None], p2, p)
+    phi_feet = np.where(take_b, phi_b, phi_a)
+    tang_res = np.where(take_b, tang_b, tang_a)
+    return p.reshape(nb, ns, dim), phi_feet.reshape(nb, ns), tang_res.reshape(nb, ns)
 
 
 def _count_feet(candidates: np.ndarray, near: np.ndarray, sep_tol: np.ndarray) -> np.ndarray:

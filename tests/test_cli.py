@@ -100,6 +100,14 @@ SCHEMA_VIOLATIONS = [
     ("convex-classify", {"convex": {"fixtures": [
         {**SLAB_FIXTURE, "normals": [[1.0]], "constants": [1.0], "interior": [0.0]}]}}, {},
      "convex.fixtures[0].interior"),
+    # non-finite floats, which would otherwise run and report a vacuous pass
+    ("metric", {"metric": {"point": [float("nan"), 0.0, 0.0], "direction": [1.0, 0.0, 0.0]}},
+     {}, "metric.point[0]"),
+    ("omega-d", {"omega_d": {"slice": "plane", "p": [float("nan"), 0.0, 0.0]}}, {},
+     "omega_d.p[0]"),
+    ("convex-classify", {"convex": {"fixtures": [
+        {**SLAB_FIXTURE, "normals": [[0.0, 0.0, float("inf")], [0.0, 0.0, -1.0]]}]}}, {},
+     "convex.fixtures[0].normals[0][2]"),
 ]
 
 

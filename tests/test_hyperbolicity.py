@@ -117,6 +117,32 @@ def test_metric_point_outside_rejected():
         hyp.metric_upper_bound(ball, np.zeros(3), np.zeros(3))
 
 
+def nan_ball():
+    """The unit ball with phi NaN wherever x0 > 0.5."""
+    ball = surfaces.sphere()
+
+    def phi(x):
+        return np.where(np.asarray(x)[..., 0] > 0.5, np.nan, ball.phi(x))
+
+    return surfaces.ImplicitDomain("nan-ball", 3, phi, ball.grad, ball.hess)
+
+
+def test_disc_radii_count_nan_as_outside():
+    # a circle with one NaN sample leaves the domain, however far inside
+    # its other samples are; so does a centre where phi is NaN
+    ring = hyp.plane_ring(0.0, np.eye(3)[:2], 1.0, 64)
+    radius, top = hyp._disc_radii(nan_ball(), np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0]]), ring)
+    assert 0.49 < radius[0] <= 0.5 < top[0] < 0.51
+    assert radius[1] == 0.0 and np.isnan(top[1])
+
+
+def test_metric_nan_base_point_rejected():
+    v = np.array([1.0, 0.0, 0.0])
+    for domain, p in ((surfaces.sphere(), [np.nan, 0.0, 0.0]), (nan_ball(), [0.7, 0.0, 0.0])):
+        with pytest.raises(hyp.OutsideDomainError):
+            hyp.metric_upper_bound(domain, np.array(p), v)
+
+
 def test_metric_rejects_points_outside_r3():
     calls = []
     ball = surfaces.sphere()

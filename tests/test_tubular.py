@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,6 +82,56 @@ def test_projection_rows_do_not_depend_on_their_batch(case):
         foot, dlt, m = tubular.project_batch(dom, x)
         assert np.array_equal(foot[0], feet[i]), i
         assert dlt[0] == delta[i] and m[0] == mult[i], i
+
+
+def test_projection_blocks_do_not_change_rows():
+    # one call over four blocks of pulls and polish, with axis points (many
+    # feet, singular Newton systems) on both sides of the block boundaries,
+    # against calls over sub-batches cut elsewhere
+    dom = surfaces.catenoid()
+    per_block = tubular.BLOCK_ROWS // (tubular.STARTS + 1)
+    pts = tubular.collar_points(dom, 3 * per_block + 40, 0.02, 0.98)
+    axis = np.outer([-0.4, 0.0, 0.2, 0.5], [0.0, 0.0, 1.0])
+    at = [1, per_block - 1, per_block, 2 * per_block + 7]
+    pts[at] = axis
+    whole = tubular.project_batch(dom, pts)
+    assert np.all(whole[2][at] > 1)
+    parts = [tubular.project_batch(dom, part) for part in np.split(pts, [100, 333, 600])]
+    for got, want in zip(whole, map(np.concatenate, zip(*parts))):
+        assert np.array_equal(got, want)
+
+
+def test_failed_projection_past_first_block_raises_as_alone():
+    scherk = surfaces.scherk()
+    bad = np.array([0.0, 0.0, 40.0])
+    per_block = tubular.BLOCK_ROWS // (tubular.STARTS + 1)
+    pts = tubular.collar_points(scherk, per_block + 60, 0.02, 0.3)
+    pts[per_block + 20] = bad
+    errors = []
+    for batch in (pts, bad):
+        with pytest.raises(tubular.ProjectionError) as info, np.errstate(all="ignore"):
+            tubular.project_batch(scherk, batch)
+        errors.append(info.value)
+    got, want = errors
+    assert str(got) == str(want) == f"projection failed to converge at {bad.tolist()}"
+    assert got.residual == want.residual
+    assert np.array_equal(got.best_foot, want.best_foot)
+
+
+def test_cold_projection_working_set_is_bounded():
+    # the pulls and the polish hold one block of start rows at a time, so
+    # the transient peak grows with the batch only through per-point arrays
+    dom = surfaces.catenoid()
+    peaks = []
+    for count in (256, 1024):
+        pts = tubular.collar_points(dom, count, 0.02, 0.98)
+        tracemalloc.start()
+        try:
+            tubular.project_batch(dom, pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_foot_lies_on_boundary():
