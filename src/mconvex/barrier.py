@@ -24,6 +24,15 @@ from .surfaces import ImplicitDomain
 from .tubular import TubularCollar
 
 
+# build_barrier: boundary samples checked for m-convexity and the negative
+# curvature sum tolerated there; verify_barrier: the gates of (b), (d), (e)
+BOUNDARY_CHECK_SAMPLES = 256
+CONVEXITY_TOL = 1e-9
+BOUNDARY_TOL = 1e-8
+EIGEN_TOL = 1e-6
+LEVEL_TOL = 1e-6
+
+
 class MConvexityError(ValueError):
     """The boundary fails the m-convexity precondition at a sample."""
 
@@ -347,8 +356,6 @@ def build_barrier(
     safety: float = 0.99,
     ratios: tuple = (0.9, 0.6, 0.3),
     cap_degree: int = 3,
-    boundary_check_samples: int = 256,
-    convexity_tol: float = 1e-9,
 ) -> BarrierFunction:
     """Assemble and precondition-check the defining function.
 
@@ -356,9 +363,9 @@ def build_barrier(
     the offending point and curvature sum otherwise. ``eps`` must not exceed
     the tubular radius of the boundary (callers pass a reach estimate).
     """
-    samples = domain.boundary_samples(boundary_check_samples)
+    samples = domain.boundary_samples(BOUNDARY_CHECK_SAMPLES)
     sigma = surfaces.m_convexity_defect(surfaces.boundary_frames(domain, samples), m)
-    concave = sigma < -convexity_tol
+    concave = sigma < -CONVEXITY_TOL
     if np.any(concave):
         i = int(np.argmax(concave))
         raise MConvexityError(samples[i], float(sigma[i]), m)
@@ -393,9 +400,6 @@ def verify_barrier(
     interior_points: np.ndarray,
     boundary_points: np.ndarray,
     psh_tol: float = 1e-8,
-    boundary_tol: float = 1e-8,
-    eigen_tol: float = 1e-6,
-    level_tol: float = 1e-6,
     level_count: int = 10,
     fd_check_count: int = 0,
 ) -> BarrierReport:
@@ -425,31 +429,16 @@ def verify_barrier(
     widx = int(np.argmin(margins))
     worst = float(margins[widx])
     worst_pt = interior_points[widx]
-    checks.append(
-        BarrierCheck(
-            name="psh-margin",
-            worst_value=worst,
-            threshold=-psh_tol,
-            passed=bool(worst >= -psh_tol),
-            worst_point=worst_pt,
-            count=len(interior_points),
-        )
-    )
+    checks.append(BarrierCheck("psh-margin", worst, -psh_tol,
+                               bool(worst >= -psh_tol), worst_pt, len(interior_points)))
 
     # (b) zero on the boundary
     bdeltas = bf.delta_batch(boundary_points)
     bvals = np.abs(bf.value_from_delta(bdeltas))
     bidx = int(np.argmax(bvals))
-    checks.append(
-        BarrierCheck(
-            name="boundary-zero",
-            worst_value=float(bvals[bidx]),
-            threshold=boundary_tol,
-            passed=bool(bvals[bidx] <= boundary_tol),
-            worst_point=boundary_points[bidx],
-            count=len(boundary_points),
-        )
-    )
+    checks.append(BarrierCheck("boundary-zero", float(bvals[bidx]), BOUNDARY_TOL,
+                               bool(bvals[bidx] <= BOUNDARY_TOL), boundary_points[bidx],
+                               len(boundary_points)))
 
     # (c) nonvanishing gradient on the regular range; |grad delta| = 1 makes
     # the gradient norm a function of the signed distance alone
@@ -467,16 +456,8 @@ def verify_barrier(
         gidx = int(np.argmin(masked))
         worst_g = float(masked[gidx])
         worst_gpt = all_pts[gidx]
-    checks.append(
-        BarrierCheck(
-            name="gradient-floor",
-            worst_value=float(worst_g),
-            threshold=floor,
-            passed=bool(worst_g > floor),
-            worst_point=worst_gpt,
-            count=regular,
-        )
-    )
+    checks.append(BarrierCheck("gradient-floor", float(worst_g), floor,
+                               bool(worst_g > floor), worst_gpt, regular))
 
     # (d) analytic spectrum equals the transported-curvature list; optional
     # finite-difference cross-check on inner-collar points, where the cap is
@@ -494,16 +475,8 @@ def verify_barrier(
     eidx = int(np.argmax(errs))
     worst_eig = float(errs[eidx])
     worst_ept = err_pts[eidx] if worst_eig > 0.0 else None
-    checks.append(
-        BarrierCheck(
-            name="eigen-list",
-            worst_value=float(worst_eig),
-            threshold=eigen_tol,
-            passed=bool(worst_eig <= eigen_tol),
-            worst_point=worst_ept,
-            count=len(interior_points),
-        )
-    )
+    checks.append(BarrierCheck("eigen-list", float(worst_eig), EIGEN_TOL,
+                               bool(worst_eig <= EIGEN_TOL), worst_ept, len(interior_points)))
 
     # (e) level sets of rho are level sets of the signed distance
     levels = [-(k + 1.0) / (level_count + 1.0) for k in range(level_count)]
@@ -517,16 +490,8 @@ def verify_barrier(
         lidx = int(np.argmax(errs))
         worst_lvl = float(errs[lidx])
         worst_lpt = located[lidx]
-    checks.append(
-        BarrierCheck(
-            name="level-set",
-            worst_value=float(worst_lvl),
-            threshold=level_tol,
-            passed=bool(worst_lvl <= level_tol),
-            worst_point=worst_lpt,
-            count=len(located),
-        )
-    )
+    checks.append(BarrierCheck("level-set", float(worst_lvl), LEVEL_TOL,
+                               bool(worst_lvl <= LEVEL_TOL), worst_lpt, len(located)))
 
     return BarrierReport(checks=tuple(checks))
 

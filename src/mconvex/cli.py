@@ -8,6 +8,7 @@ failure, 2 = config schema violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -332,8 +333,7 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
             point = rng.standard_normal(3)
             point *= radius / np.linalg.norm(point)
             pairs.append((point, direction / np.linalg.norm(direction)))
-    worst_ratio = 0.0
-    worst_deficit = 0.0
+    ratios, deficits = [], []
     points, directions = (np.array(side) for side in zip(*pairs))
     try:
         estimates, failure = hyperbolicity.metric_upper_bound(domain, points, directions), None
@@ -344,8 +344,8 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
         if is_ball:
             ref = hyperbolicity.bck_metric(p, v)
             ratio = est.bound / ref
-            worst_ratio = max(worst_ratio, ratio)
-            worst_deficit = min(worst_deficit, est.bound - ref)
+            ratios.append(ratio)
+            deficits.append(est.bound - ref)
             report.add(
                 CheckRecord(
                     f"pair-{i}", ratio, 1.0 + tol, ratio <= 1.0 + tol,
@@ -364,13 +364,20 @@ def _run_metric(cfg: AnalysisConfig, report: Report) -> None:
     if failure is not None:
         raise failure
     if is_ball:
+        # a NaN pair makes both summaries NaN, so both fail and name it
+        nan = next((i for i, r in enumerate(ratios) if math.isnan(r)), None)
+        if nan is None:
+            worst_ratio, worst_deficit, where = max([0.0] + ratios), min([0.0] + deficits), ""
+        else:
+            worst_ratio, worst_deficit, where = math.nan, math.nan, f"pair-{nan} is NaN"
         report.add(
-            CheckRecord("max-ratio", worst_ratio, 1.0 + tol, worst_ratio <= 1.0 + tol)
+            CheckRecord("max-ratio", worst_ratio, 1.0 + tol, worst_ratio <= 1.0 + tol,
+                        detail=where)
         )
         report.add(
             CheckRecord(
                 "min-deficit", worst_deficit, -1e-6, worst_deficit >= -1e-6,
-                detail="upper bounds may never undershoot the exact metric",
+                detail=where or "upper bounds may never undershoot the exact metric",
             )
         )
 

@@ -18,14 +18,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import numkit
+from . import numkit, tubular
 from .surfaces import ImplicitDomain
 
 CONTAINMENT_MARGIN = -1e-9
 
 
 class OutsideDomainError(ValueError):
-    """The base point of a metric query is not inside the domain."""
+    """The base point ``point`` of a metric query is not inside the domain."""
+
+    def __init__(self, message: str, point=None):
+        self.point = point
+        super().__init__(message)
 
 
 def bck_metric(p: np.ndarray, v: np.ndarray) -> float:
@@ -73,13 +77,18 @@ class MetricEstimate:
 
 
 # the disc search: coarse plane orientations, golden-section steps refining
-# the best one, the largest radius tried, and the polar lattice (radii by
-# angles) on which a witness disc is containment-checked
+# the best one, the largest radius tried, and the angles of each solve circle
 ORIENTATIONS = 8
 GOLDEN_ITERS = 18
 RADIUS_CAP = 1e3
-LATTICE_RADII = 32
 LATTICE_ANGLES = 64
+
+# the containment certificate of a witness disc (see ``_disc_certificate``):
+# the angles of its polar mesh, the rings a negative Hessian floor pays for,
+# and the steps of the radius bisection from 0
+MESH_ANGLES = 512
+MESH_RINGS = 32
+CERTIFY_ITERS = 40
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -92,62 +101,6 @@ PHI_POINTS = 4096
 # pairs of one metric_upper_bound stack searched in lockstep at a time; the
 # searches of a group are all in flight together, so this bounds their state
 LOCKSTEP_PAIRS = 8
-
-
-def _golden_points(lo, hi, iters):
-    """Golden-section search for a maximum on [lo, hi] as a coroutine: it
-    yields the points to evaluate (the opening two together, then one per
-    step), is sent their values, and returns (argmax, max)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = yield c, d
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            (fd,) = yield (d,)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int):
-    search = _golden_points(lo, hi, iters)
-    try:
-        points = next(search)
-        while True:
-            points = search.send([fn(x) for x in points])
-    except StopIteration as stop:
-        return stop.value
-
-
-def _circle_margin(domain, center, u, w, radius, angles):
-    """Max of phi over the boundary circle, golden-refined."""
-    vals = np.asarray(domain.phi(plane_ring(center, np.stack([u, w]), radius, angles)), dtype=float)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    span = 2.0 * np.pi / angles
-    th = 2.0 * np.pi * k / angles
-
-    def at(theta: float) -> float:
-        x = center + radius * (math.cos(theta) * u + math.sin(theta) * w)
-        return float(domain.phi(x))
-
-    _, refined = _golden_max(at, th - span, th + span, 40)
-    return max(best, refined)
-
-
-def _lattice_margin(domain, center, u, w, radius, radii, angles):
-    rr = (radius * (np.arange(1, radii + 1) / radii))[:, None, None]
-    pts = plane_ring(center, np.stack([u, w]), rr, angles)
-    vals = np.asarray(domain.phi(pts.reshape(-1, center.size)), dtype=float)
-    vals = np.append(vals, float(domain.phi(center)))
-    return float(np.max(vals))
 
 
 def _circle_margins_many(domain, centers, rings, plane, radii):
@@ -239,21 +192,48 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     return radius, hi
 
 
-def _certified_disc_radius(domain, center, u, w) -> float:
-    """The radius of ``_disc_radii`` at one center, finished by a bisection
-    on golden-refined circle maxima for certification."""
-    ring = plane_ring(0.0, np.stack([u, w]), 1.0, LATTICE_ANGLES)
-    radius, top = _disc_radii(domain, center[None, :], ring)
-    lo, hi = float(radius[0]), float(top[0])
-    if math.isnan(hi):
-        return lo
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if _circle_margin(domain, center, u, w, mid, LATTICE_ANGLES) <= CONTAINMENT_MARGIN:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _disc_certificate(domain, center, span, top):
+    """The predicate ``certified(radii, rows)`` of ``tubular.bisect``: whether
+    the flat disc of each radius, at most ``top``, about ``center`` in the
+    plane of the orthonormal (2, n) ``span`` lies in {phi <= CONTAINMENT_MARGIN}.
+
+    The mesh argument. A polar mesh of N = ``MESH_ANGLES`` rays whose outer
+    ring is circumscribed, at radius R / cos(pi/N), spans a polygon that
+    contains the disc of radius R, cut by its rings into convex cells. On a
+    convex cell K where phi + (M/2)|x|^2 is convex (Hess phi >= -M), each x
+    has phi(x) <= max over the vertices v of phi(v) + (M/2)|v - x|^2, so
+    phi <= max(vertices) + (M/2) diam(K)^2. With -M the domain's
+    ``hess_floor`` over the ball holding the mesh, the largest mesh value plus
+    (M/2) times the largest squared cell diameter bounds phi on the disc.
+    Where the floor over the ball of ``top`` is 0, the maximum principle
+    leaves the outer ring alone to decide; otherwise the mesh has
+    ``MESH_RINGS`` evenly spaced rings and the centre, and each radius pays
+    for the floor of its own ball. A NaN value or floor certifies nothing.
+    """
+    n = center.size
+    grow = 1.0 / math.cos(math.pi / MESH_ANGLES)
+
+    def slack(radius):
+        """M of the ball holding the mesh of ``radius``."""
+        return -min(domain.hess_floor(center, radius * grow), 0.0)
+
+    rings = 1 if slack(top) == 0.0 else MESH_RINGS
+    r = np.arange(rings + 1) * (grow / rings)
+    unit = plane_ring(0.0, span, r[1:, None, None], MESH_ANGLES).reshape(-1, n)
+    if rings > 1:
+        unit = np.vstack([np.zeros(n), unit])
+    # a cell's diameter is its diagonal or its outer chord
+    cos = math.cos(2.0 * math.pi / MESH_ANGLES)
+    d2 = float(np.max(np.maximum(r[:-1] ** 2 + r[1:] ** 2 - 2.0 * cos * r[:-1] * r[1:],
+                                 2.0 * (1.0 - cos) * r[1:] ** 2)))
+
+    def certified(radii, rows):
+        pts = center + radii[:, None, None] * unit
+        vals = np.asarray(domain.phi(pts.reshape(-1, n)), dtype=float).reshape(len(radii), -1)
+        m = 0.0 if rings == 1 else np.array([slack(x) for x in radii.tolist()])
+        return vals.max(axis=1) + 0.5 * d2 * m * radii * radii <= CONTAINMENT_MARGIN
+
+    return certified
 
 
 # the score and radius of an offset that cannot improve its search
@@ -307,16 +287,23 @@ def _lockstep(searches):
 
 
 def _golden_search(fn, lo, hi, iters):
-    """``_golden_max`` as a search: fn(x) is a search whose value is the
-    function's at x, and the two opening points run in lockstep."""
-    golden = _golden_points(lo, hi, iters)
-    points = next(golden)
-    while True:
-        values = yield from _lockstep(fn(x) for x in points)
-        try:
-            points = golden.send(values)
-        except StopIteration as stop:
-            return stop.value
+    """Golden-section search for a maximum of fn on [lo, hi] as a search:
+    fn(x) is a search whose value is the function's at x. The opening two
+    points run in lockstep, then one per step; the value is (argmax, max)."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = yield from _lockstep([fn(c), fn(d)])
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = yield from fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = yield from fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
 
 
 def _solve_all(domain, search):
@@ -343,12 +330,22 @@ def _search(domain, p, v):
     """The disc search of one pair (p, v), as a search generator (see
     ``_lockstep``) whose value is its ``MetricEstimate``."""
     if not float(domain.phi(p)) < 0.0:  # a NaN value is not inside
-        raise OutsideDomainError(f"base point {p.tolist()} is not inside the domain")
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
+        raise OutsideDomainError(f"base point {p.tolist()} is not inside the domain", point=p)
+    # the metric is homogeneous of degree 1 in v: scaling v by the power of
+    # two at or below its largest component is exact, and its norm can then
+    # neither underflow nor overflow
+    scale = float(np.max(np.abs(v)))
+    if scale == 0.0:
         raise ValueError("direction must be nonzero")
-    vhat = v / vnorm
+    scale = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    unorm = float(np.linalg.norm(v / scale))
+    vhat = v / scale / unorm
     comp = numkit.orthonormal_complement(vhat)
+
+    # the estimate when no disc is certified
+    no_disc = MetricEstimate(p, v, math.inf, DiscWitness(p, 0.0, vhat, comp[0]), 0.0, False)
+    if domain.hess_floor is None:
+        return no_disc
 
     def plane(theta: float):
         """The disc plane's second spanning vector at theta and its unit circle."""
@@ -359,9 +356,6 @@ def _search(domain, p, v):
         """The disc centers p + s1 vhat + s2 w of in-plane offsets s1 + i s2."""
         z = np.asarray(offsets, dtype=complex)
         return p + z.real[:, None] * vhat + z.imag[:, None] * w
-
-    def witness(w, s, radius):
-        return DiscWitness(center=centers(w, [complex(*s)])[0], radius=radius, u=vhat, w=w)
 
     def evaluate(at, offsets, beat):
         """(1/bound, radius) at each in-plane offset s1 + i s2, in one solve;
@@ -380,11 +374,11 @@ def _search(domain, p, v):
         return out
 
     def offset_search(at, s0=(0.0, 0.0), coarse=True):
-        """Pattern search for the best in-plane center offset: (1/bound, radius, offset)."""
+        """Pattern search for the best in-plane center offset: (1/bound, offset)."""
         s1, s2 = s0
         ((r, radius),) = yield from evaluate(at, [complex(s1, s2)], -np.inf)
         if not np.isfinite(r):
-            return -np.inf, None, (s1, s2)
+            return -np.inf, (s1, s2)
         step = 0.25 * radius
         floor = 1e-4 * max(1.0, radius)
         if coarse:
@@ -407,79 +401,53 @@ def _search(domain, p, v):
                 step *= 0.5
             else:
                 (r, radius), s1, s2 = seen[gain], gain.real, gain.imag
-        return r, radius, (s1, s2)
+        return r, (s1, s2)
 
     thetas = [math.pi * k / ORIENTATIONS for k in range(ORIENTATIONS)]
-    planes = [(theta, plane(theta)) for theta in thetas]
-    coarse = yield from _lockstep(offset_search(at) for _, at in planes)
+    coarse = yield from _lockstep(offset_search(plane(theta)) for theta in thetas)
     best_r = -np.inf
-    best = None  # (theta, plane, radius, (s1, s2))
-    for (theta, at), (r, radius, s) in zip(planes, coarse):
+    best = None  # (theta, (s1, s2))
+    for theta, (r, s) in zip(thetas, coarse):
         if r > best_r:
-            best_r, best = r, (theta, at, radius, s)
+            best_r, best = r, (theta, s)
 
-    # the estimate when no disc is found, or the last one still leaves the domain
-    no_disc = MetricEstimate(
-        point=p,
-        direction=v,
-        bound=math.inf,
-        witness=DiscWitness(p, 0.0, vhat, comp[0]),
-        offset=0.0,
-        containment_checked=False,
-    )
     if best is None or best_r <= 0.0:
         return no_disc
 
-    theta_b, at, radius, s_b = best
-    wit_b = witness(at[0], s_b, radius)
+    theta_c, s_c = best
 
     def refined(theta):
-        return (yield from offset_search(plane(theta), s0=s_b))[0]
+        return (yield from offset_search(plane(theta), s0=s_c))[0]
 
     # orientation refinement with warm-started offset searches, one after
-    # another but for the opening two
+    # another but for the opening two, and a finer last search; where its
+    # plane has no disc at the coarse offset, the coarse disc stands
     theta_b, _ = yield from _golden_search(
         refined,
-        theta_b - math.pi / ORIENTATIONS,
-        theta_b + math.pi / ORIENTATIONS,
+        theta_c - math.pi / ORIENTATIONS,
+        theta_c + math.pi / ORIENTATIONS,
         GOLDEN_ITERS,
     )
     at = plane(theta_b)
-    _, radius, s_b = yield from offset_search(at, s0=s_b, coarse=False)
-    if radius is not None:
-        wit_b = witness(at[0], s_b, radius)
+    r, s_b = yield from offset_search(at, s0=s_c, coarse=False)
+    if r == -np.inf:
+        at, s_b = plane(theta_c), s_c
 
-    # final certified disc: refined circle maximum plus interior lattice
+    # the witness: one bisection of the certificate from 0 up to the top of
+    # the final centre's radius bracket, so only a certified radius comes back
     w = at[0]
     center = centers(w, [complex(*s_b)])[0]
-    radius = _certified_disc_radius(domain, center, vhat, w)
-    a_b = math.hypot(*s_b)
-    if radius <= a_b * (1.0 + 1e-12) or radius <= 0.0:
-        wit_fin = wit_b
-    else:
-        wit_fin = DiscWitness(center=center, radius=radius, u=vhat, w=w)
-    radius = wit_fin.radius
-    for _ in range(60):
-        disc = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
-        lat = _lattice_margin(*disc, LATTICE_RADII, LATTICE_ANGLES)
-        if max(lat, _circle_margin(*disc, LATTICE_ANGLES)) <= CONTAINMENT_MARGIN:
-            break
-        radius *= 0.999
-    else:
+    radius, top = (float(x[0]) for x in _disc_radii(domain, center[None, :], at[1]))
+    if radius == 0.0:
         return no_disc
-    wit_fin = DiscWitness(center=wit_fin.center, radius=radius, u=wit_fin.u, w=wit_fin.w)
-    r_eff = (radius * radius - a_b * a_b) / radius
-    if r_eff <= 0.0:
-        raise RuntimeError("disc search collapsed to a degenerate witness")
-    bound = vnorm / r_eff
-    return MetricEstimate(
-        point=p,
-        direction=v,
-        bound=float(bound),
-        witness=wit_fin,
-        offset=float(a_b),
-        containment_checked=True,
-    )
+    top = RADIUS_CAP if math.isnan(top) else top
+    certified = _disc_certificate(domain, center, np.stack([vhat, w]), top)
+    radius = float(tubular.bisect(certified, [0.0], [top], CERTIFY_ITERS)[0][0])
+    a_b = math.hypot(*s_b)
+    if not radius > a_b * (1.0 + 1e-12):
+        return no_disc
+    bound = unorm * scale / ((radius * radius - a_b * a_b) / radius)
+    return MetricEstimate(p, v, bound, DiscWitness(center, radius, vhat, w), a_b, True)
 
 
 def metric_upper_bound(
@@ -502,11 +470,16 @@ def metric_upper_bound(
     narrowed. The result is bit-identical to searching one pair and one
     offset at a time.
 
-    The returned bound is always an upper bound for the pseudometric; the
-    witnessing disc is containment-checked, pair by pair, on its boundary
-    circle and an interior polar lattice. Points and directions lie in R^3,
-    where the planes containing v are one circle of orientations; any other
-    dimension raises ``ValueError``.
+    The returned bound is always an upper bound for the pseudometric. Its
+    witnessing disc is certified, pair by pair, by a bisection of the radius
+    from 0 on ``_disc_certificate``: phi is sampled on a polar mesh whose
+    polygon contains the disc, and the domain's ``hess_floor`` bounds phi
+    between the samples. A pair whose disc does not certify, and every pair
+    of a domain without a ``hess_floor``, gets bound inf with
+    ``containment_checked=False``. Points and directions lie in R^3, where the
+    planes containing v are one circle of orientations; any other dimension
+    raises ``ValueError``, and so does a NaN or infinite entry, naming the
+    argument and the row.
 
     ``p`` and ``v`` of shape (3,) give one ``MetricEstimate``; stacks of
     shape (B, 3) give a tuple of B. An error of a stack is the one the first
@@ -519,6 +492,8 @@ def metric_upper_bound(
         raise ValueError(f"point shape {p.shape} and direction shape {v.shape} differ")
     if p.shape[-1:] != (3,):
         raise ValueError(f"points and directions must lie in R^3, got shape {p.shape}")
+    numkit.require_finite("p", p, OutsideDomainError)  # a NaN point is not inside
+    numkit.require_finite("v", v)
     if p.ndim == 1:
         return _solve_all(domain, _search(domain, p, v))
     estimates = []
@@ -601,6 +576,11 @@ def poincare_distance(z: complex, w: complex) -> float:
     return math.atanh(m)
 
 
+# the first radius of a chain's vertical discs, and the smallest tried
+VERTICAL_RADIUS = 0.9
+MIN_VERTICAL_RADIUS = 1e-6
+
+
 class ChainError(RuntimeError):
     """The disc chain could not be built (slice too thin at an endpoint)."""
 
@@ -627,14 +607,12 @@ def omega_d_distance_chain(
     p: np.ndarray,
     q: np.ndarray,
     k: int,
-    vertical_radius: float = 0.9,
     chord_direction=(1.0, 0.0),
-    min_radius: float = 1e-6,
 ) -> ChainBound:
     """Distance upper bound through lifted discs at height 1/k.
 
-    The vertical discs shrink adaptively until they fit in the domain;
-    below ``min_radius`` the construction fails.
+    The vertical discs shrink from ``VERTICAL_RADIUS`` until they fit in the
+    domain; below ``MIN_VERTICAL_RADIUS`` the construction fails.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if k < 2:
@@ -651,13 +629,13 @@ def omega_d_distance_chain(
     u /= np.linalg.norm(u)
 
     def fit_vertical(center: np.ndarray) -> float:
-        radius = vertical_radius
-        while radius >= min_radius:
+        radius = VERTICAL_RADIUS
+        while radius >= MIN_VERTICAL_RADIUS:
             if _vertical_disc_inside(dom, center, u, radius) and radius * k > 1.0:
                 return radius
             radius *= 0.7
         raise ChainError(
-            f"no admissible vertical disc of radius >= {min_radius} at "
+            f"no admissible vertical disc of radius >= {MIN_VERTICAL_RADIUS} at "
             f"{center.tolist()}"
         )
 

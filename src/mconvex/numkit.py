@@ -87,6 +87,16 @@ def first_index(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
+def require_finite(name: str, x: np.ndarray, error=ValueError) -> None:
+    """Raise ``error`` (a ``ValueError`` by default) naming ``name`` and the
+    first row of the (..., n) array ``x`` that holds a NaN or an infinity."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        row = first_index(bad.any(axis=-1)) if x.ndim > 1 else ()
+        at = f" row {list(row)}" if row else ""
+        raise error(f"{name}{at} must be finite, got {x[row].tolist()}")
+
+
 def sym_eigen(a: np.ndarray) -> EigenDecomposition:
     """Eigen-decompose a symmetric matrix, or a stack of them, in one call.
 

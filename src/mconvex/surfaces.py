@@ -65,6 +65,12 @@ class ImplicitDomain:
     back to centered differences and set ``fd_fallback``. An
     ``exact_projection`` marks ``phi`` as the exact signed distance to the
     boundary and returns the foot, distance and multiplicity.
+
+    ``hess_floor(center, radius)`` returns some -M <= 0 with
+    ``phi + (M/2)|x|^2`` convex on the closed ball B(center, radius), that is
+    a lower bound on the eigenvalues of Hess ``phi`` there where ``phi`` is
+    C^2. Like ``reach_hint`` it is domain geometry; it is what certifies a
+    witness disc of the metric search, and a domain without it certifies none.
     """
 
     def __init__(
@@ -78,6 +84,7 @@ class ImplicitDomain:
         box: Optional[np.ndarray] = None,
         exact_projection: Optional[Callable[[np.ndarray], tuple]] = None,
         reach_hint: Optional[float] = None,
+        hess_floor: Optional[Callable[[np.ndarray, float], float]] = None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -89,6 +96,7 @@ class ImplicitDomain:
         self.box = None if box is None else np.asarray(box, dtype=float)
         self.exact_projection = exact_projection
         self.reach_hint = reach_hint
+        self.hess_floor = hess_floor
         if boundary_sampler is not None:
             samples = self.boundary_samples(64)
             norms = np.linalg.norm(self.grad(samples), axis=-1)
@@ -289,6 +297,11 @@ def _radial(x: np.ndarray, k: int, order: int) -> np.ndarray:
     return h
 
 
+def _convex_floor(center, radius) -> float:
+    """The Hessian floor of a convex ``phi``."""
+    return 0.0
+
+
 def _round(name, k, r, boundary, box) -> ImplicitDomain:
     """The points within r of the axis {x_1 = ... = x_k = 0}: the ball for
     k = 3, the solid cylinder about the x3-axis for k = 2. phi is the exact
@@ -313,6 +326,7 @@ def _round(name, k, r, boundary, box) -> ImplicitDomain:
         box=box,
         exact_projection=project,
         reach_hint=r,
+        hess_floor=_convex_floor,
     )
 
 
@@ -362,6 +376,7 @@ def halfspace() -> ImplicitDomain:
         box=np.array([[-2.0, -2.0, -2.0], [2.0, 2.0, 0.0]]),
         exact_projection=project,
         reach_hint=np.inf,
+        hess_floor=_convex_floor,
     )
 
 
@@ -430,6 +445,7 @@ def slab(half_width: float = 1.0) -> ImplicitDomain:
         box=np.array([[-2.0, -2.0, -a], [2.0, 2.0, a]]),
         exact_projection=project,
         reach_hint=a,
+        hess_floor=_convex_floor,
     )
 
 
@@ -467,6 +483,12 @@ def catenoid(scale: float = 1.0, z_extent: float = 1.2) -> ImplicitDomain:
         pts = np.stack([r * np.cos(t), r * np.sin(t), vv], axis=-1)
         return pts[:count]
 
+    def hess_floor(center, radius):
+        # rho is convex and -s cosh(x3/s) has second derivative -cosh(x3/s)/s;
+        # an overflow gives -inf, which certifies nothing
+        with np.errstate(over="ignore"):
+            return -float(np.cosh((abs(center[2]) + radius) / s)) / s
+
     rmax = s * np.cosh(z_extent / s)
     return ImplicitDomain(
         "catenoid",
@@ -477,6 +499,7 @@ def catenoid(scale: float = 1.0, z_extent: float = 1.2) -> ImplicitDomain:
         boundary_sampler=boundary,
         box=np.array([[-rmax, -rmax, -z_extent], [rmax, rmax, z_extent]]),
         reach_hint=s,
+        hess_floor=hess_floor,
     )
 
 
@@ -507,6 +530,12 @@ def scherk() -> ImplicitDomain:
         h[..., 2, 0] = h[..., 0, 2]
         return h
 
+    def hess_floor(center, radius):
+        # the Hessian's eigenvalues are cos x2 and +-e^x3 (its x1-x3 block has
+        # trace 0 and determinant -e^(2 x3)); an overflow gives -inf
+        with np.errstate(over="ignore"):
+            return -max(1.0, float(np.exp(center[2] + radius)))
+
     def boundary(count):
         side = int(np.ceil(np.sqrt(count)))
         lim = 0.45 * np.pi
@@ -526,6 +555,7 @@ def scherk() -> ImplicitDomain:
         hess,
         boundary_sampler=boundary,
         box=np.array([[-1.4, -1.4, -2.0], [1.4, 1.4, 2.0]]),
+        hess_floor=hess_floor,
     )
 
 

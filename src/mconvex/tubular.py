@@ -37,11 +37,13 @@ BLOCK_ROWS = 256 * (STARTS + 1)
 
 
 class ProjectionError(RuntimeError):
-    """The projection solver failed to converge for some points."""
+    """The projection solver failed to converge for some points; ``point``
+    is the first such point, ``best_foot`` and ``residual`` its best try."""
 
-    def __init__(self, message: str, best_foot=None, residual=None):
+    def __init__(self, message: str, best_foot=None, residual=None, point=None):
         self.best_foot = best_foot
         self.residual = residual
+        self.point = point
         super().__init__(message)
 
 
@@ -215,6 +217,7 @@ def project_batch(
             f"projection failed to converge at {x[bad].tolist()}",
             best_foot=p[bad, np.argmin(dist[bad])],
             residual=float(np.min(phi_feet[bad])),
+            point=x[bad],
         )
 
     feet = p[np.arange(nb), best_idx]

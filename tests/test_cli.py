@@ -1,8 +1,10 @@
 import copy
 import glob
 import inspect
+import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -448,10 +450,25 @@ def test_metric_failure_keeps_the_records_before_it(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == '{"record":"meta","tool":"mconvex","version":"0.1.0","kind":"metric","seed":2}'
     assert lines[2:] == [
-        '{"record":"check","name":"pair-0","value":1.0001329401796761,"threshold":1.01,"passed":true,"location":[0.56473583234554292,0.35903140271026679,-0.10211545410507374,0.27298068055600477,-0.75481445484455545,-0.59643665782788446],"detail":"bound 1.3627363 vs exact 1.3625551"}',
+        '{"record":"check","name":"pair-0","value":1.0001519864089514,"threshold":1.01,"passed":true,"location":[0.56473583234554292,0.35903140271026679,-0.10211545410507374,0.27298068055600477,-0.75481445484455545,-0.59643665782788446],"detail":"bound 1.3627622 vs exact 1.3625551"}',
         '{"record":"failure","message":"OutsideDomainError: base point [-0.42150233363675704, -0.44629567274297105, -1.0751398080589154] is not inside the domain"}',
         '{"record":"summary","verdict":"error","checks":1,"failed":0}',
     ]
+
+
+def test_metric_nan_pair_fails_both_summaries(monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN ratio used to leave max-ratio at 0 and passing
+    def estimates(domain, p, v):
+        good = 1.001 * cli.hyperbolicity.bck_metric(p[0], v[0])
+        return SimpleNamespace(bound=good), SimpleNamespace(bound=math.nan)
+
+    monkeypatch.setattr(cli.hyperbolicity, "metric_upper_bound", estimates)
+    rep = cli.run(config.validate({"kind": "metric", "metric": {"pairs": 2}}))
+    records = {r.name: r for r in rep.records}
+    assert records["pair-0"].passed and not records["pair-1"].passed
+    for name in ("max-ratio", "min-deficit"):
+        assert math.isnan(records[name].value) and not records[name].passed
+        assert records[name].detail == "pair-1 is NaN"
 
 
 def test_omega_d_pipeline():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from mconvex import hyperbolicity as hyp
-from mconvex import surfaces
+from mconvex import numkit, surfaces
 
 
 def test_bck_examples():
@@ -87,14 +89,130 @@ def holed_ball(hole=(0.45, 0.0, 0.0), hole_radius=0.03):
 
 
 def test_metric_disc_still_outside_after_shrinking_certifies_nothing():
-    # the final witness of this pair fails its lattice check after all 60
-    # radius shrink steps (124 of 79,600 polar points of the disc were
-    # outside): the search must not claim a certified bound for it
+    # a sampled-only search once returned a witness of this pair that crossed
+    # the hole (124 of 79,600 polar points of the disc were outside); the
+    # holed ball supplies no Hessian floor, so it certifies no disc at all
     p = np.array([0.466510478745201, -0.08826736280877501, 0.03393068502209852])
     v = np.array([0.3290705269267498, -0.09091017751389677, 0.35734678009100607])
     est = hyp.metric_upper_bound(holed_ball(), p, v)
     assert est.bound == np.inf and not est.containment_checked
     assert est.witness.radius == 0.0 and est.offset == 0.0
+
+
+def spiked_ball(spike, sigma=1e-4):
+    """The unit ball with a thin concave spike: phi = |x| - 1 + g, where
+    g = exp(-|x - spike|^2 / (2 sigma^2)), is positive within about sigma of
+    ``spike``. Hess g has smallest eigenvalue -g / sigma^2, so the honest
+    floor over a ball at distance d from ``spike`` is
+    -exp(-d^2 / (2 sigma^2)) / sigma^2."""
+    spike = np.asarray(spike, dtype=float)
+
+    def g(x):
+        return np.exp(-np.sum(np.square(x - spike), axis=-1) / (2.0 * sigma * sigma))
+
+    def phi(x):
+        return np.sqrt(np.sum(np.square(x), axis=-1)) - 1.0 + g(x)
+
+    def grad(x):
+        unit = x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-300)
+        return unit - g(x)[..., None] * (x - spike) / (sigma * sigma)
+
+    def hess_floor(center, radius):
+        d = max(0.0, float(np.linalg.norm(center - spike)) - radius)
+        return -math.exp(-d * d / (2.0 * sigma * sigma)) / (sigma * sigma)
+
+    return surfaces.ImplicitDomain("spiked-ball", 3, phi, grad, hess_floor=hess_floor)
+
+
+def test_metric_witness_does_not_cross_a_thin_spike():
+    # the spike sits on the witness disc this pair gets on the plain ball,
+    # halfway out and between the samples of a 32 x 64 polar lattice and of
+    # the 64-angle circles of the search; a sampled-only check certified that
+    # disc, spike and all
+    p, v = np.array([0.3, -0.2, 0.1]), np.array([0.2, 1.0, -0.4])
+    spike = np.array([0.3407188609591998, 0.3296811283542553, 0.3315148503138151])
+    domain = spiked_ball(spike)
+    est = hyp.metric_upper_bound(domain, p, v)
+    if not est.containment_checked:
+        assert est.bound == np.inf
+        return
+    wit = est.witness
+    normal = np.cross(wit.u, wit.w)
+    off = spike - wit.center
+    inplane = off - (off @ normal) * normal
+    nearest = wit.center + inplane * min(1.0, wit.radius / np.linalg.norm(inplane))
+    assert float(domain.phi(nearest)) <= 0.0
+    assert est.bound >= hyp.bck_metric(p, v)
+
+
+@pytest.mark.parametrize("name", sorted(surfaces.DOMAIN_BUILDERS))
+def test_hess_floor_bounds_the_hessian(name):
+    domain = surfaces.make_domain(name)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        center, radius = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.01, 1.5)
+        d = rng.standard_normal((500, 3))
+        d *= radius * rng.uniform(0.0, 1.0, (500, 1)) ** (1.0 / 3.0) / np.linalg.norm(
+            d, axis=1, keepdims=True)
+        eig = numkit.sym_eigen(domain.hess(center + d)).eigenvalues
+        floor = domain.hess_floor(center, radius)
+        assert floor <= 0.0
+        assert np.all(floor <= eig[:, 0] + 1e-9 * (1.0 + np.abs(eig).max(axis=1)))
+
+
+def test_every_catalog_domain_has_a_hess_floor():
+    # without one, the metric search certifies no disc of the domain
+    for name, build in surfaces.DOMAIN_BUILDERS.items():
+        assert callable(build().hess_floor), name
+
+
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "catenoid", "scherk"])
+def test_certified_witnesses_lie_inside(name):
+    domain = surfaces.make_domain(name)
+    rng = np.random.default_rng(8)
+    p = rng.uniform(-0.4, 0.4, (40, 3))
+    p = p[domain.phi(p) < -0.05][:2]
+    v = rng.standard_normal((2, 3))
+    t = np.linspace(0.0, 1.0, 200)[:, None, None]
+    theta = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)[None, :, None]
+    for est in hyp.metric_upper_bound(domain, p, v):
+        assert est.containment_checked
+        wit = est.witness
+        x = wit.center + wit.radius * t * (np.cos(theta) * wit.u + np.sin(theta) * wit.w)
+        assert np.max(domain.phi(x)) <= 0.0
+
+
+def test_metric_rejects_non_finite_input():
+    ball = surfaces.sphere()
+    with pytest.raises(ValueError, match=r"^v must be finite, got \[nan, 1\.0, 0\.0\]"):
+        hyp.metric_upper_bound(ball, np.zeros(3), np.array([np.nan, 1.0, 0.0]))
+    pts = np.array([[0.1, 0.0, 0.0], [0.0, np.inf, 0.0]])
+    with pytest.raises(ValueError, match=r"^p row \[1\] must be finite"):
+        hyp.metric_upper_bound(ball, pts, np.ones((2, 3)))
+    dirs = np.ones((2, 3))
+    dirs[0, 2] = -np.inf
+    with pytest.raises(ValueError, match=r"^v row \[0\] must be finite"):
+        hyp.metric_upper_bound(ball, np.zeros((2, 3)), dirs)
+
+
+def test_metric_tiny_direction_scales():
+    # the norm of such a direction underflows to 0; the metric is
+    # homogeneous of degree 1 in it
+    ball = surfaces.sphere()
+    one = hyp.metric_upper_bound(ball, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    tiny = hyp.metric_upper_bound(ball, np.zeros(3), np.array([1e-300, 0.0, 0.0]))
+    assert tiny.containment_checked and tiny.bound == pytest.approx(1e-300 * one.bound, rel=1e-12)
+    v = np.array([0.4, -1.0, 0.2])
+    p = np.array([0.2, 0.1, -0.3])
+    scaled = hyp.metric_upper_bound(ball, p, 2.0 ** -1000 * v)
+    assert scaled.bound == 2.0 ** -1000 * hyp.metric_upper_bound(ball, p, v).bound
+
+
+def test_outside_domain_error_carries_its_point():
+    pts = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(hyp.OutsideDomainError) as info:
+        hyp.metric_upper_bound(surfaces.sphere(), pts, np.ones((2, 3)))
+    assert info.value.pair == 1 and np.array_equal(info.value.point, pts[1])
 
 
 def test_metric_monotone_under_inclusion():

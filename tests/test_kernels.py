@@ -671,12 +671,14 @@ def ref_circle_margins_many(domain, center, u, w, radii, angles):
     return vals.reshape(radii.size, angles).max(axis=1)
 
 
-def ref_max_disc_radius(domain, center, u, w, refine=False):
+def ref_max_disc_radius(domain, center, u, w, bracket=False):
+    """The radius of one center's disc, or with ``bracket`` the final radius
+    bracket (radius, top), top NaN at radius 0 and the cap at the cap."""
     margin, cap = hyperbolicity.CONTAINMENT_MARGIN, hyperbolicity.RADIUS_CAP
     angles = hyperbolicity.LATTICE_ANGLES
     phi0 = float(domain.phi(center))
     if phi0 > margin:
-        return 0.0
+        return (0.0, math.nan) if bracket else 0.0
     g = np.asarray(domain.grad(center), dtype=float)
     est = min(1.0, max(1e-6, abs(phi0) / max(1e-9, float(np.linalg.norm(g)))))
     lo, hi = 0.0, None
@@ -689,9 +691,9 @@ def ref_max_disc_radius(domain, center, u, w, refine=False):
         lo = r
         r *= 1.8
         if r > cap:
-            return cap
+            return (cap, cap) if bracket else cap
     if hi is None:
-        return cap
+        return (cap, cap) if bracket else cap
     for _ in range(3):
         rr = np.linspace(lo, hi, 18)[1:-1]
         bad = ref_circle_margins_many(domain, center, u, w, rr, angles) > margin
@@ -702,16 +704,30 @@ def ref_max_disc_radius(domain, center, u, w, refine=False):
                 lo = rr[first - 1]
         else:
             lo = rr[-1]
-    if not refine:
-        return lo
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        circ = hyperbolicity._circle_margin(domain, center, u, w, mid, angles)
-        if circ <= margin:
-            lo = mid
+    return (lo, hi) if bracket else lo
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def ref_golden_max(fn, lo, hi, iters):
+    """The scalar golden-section search of the plane-angle refinement."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
         else:
-            hi = mid
-    return lo
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    if fc >= fd:
+        return c, fc
+    return d, fd
 
 
 def ref_metric_upper_bound(domain, p, v):
@@ -723,11 +739,11 @@ def ref_metric_upper_bound(domain, p, v):
     comp = numkit.orthonormal_complement(vhat)
     pair = (comp[0], comp[1])
 
-    def evaluate(theta, s1, s2, refine=False):
+    def evaluate(theta, s1, s2):
         w = math.cos(theta) * pair[0] + math.sin(theta) * pair[1]
         q = p + s1 * vhat + s2 * w
         a = math.hypot(s1, s2)
-        radius = ref_max_disc_radius(domain, q, vhat, w, refine)
+        radius = ref_max_disc_radius(domain, q, vhat, w)
         if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
             return -np.inf, None, a
         return (radius * radius - a * a) / radius, hyp.DiscWitness(q, radius, vhat, w), a
@@ -758,24 +774,25 @@ def ref_metric_upper_bound(domain, p, v):
         r, wit, s = offset_search(theta)
         if r > best_r:
             best_r, best = r, (theta, wit, s)
-    theta_b, wit_b, s_b = best
-    theta_b, _ = hyp._golden_max(
-        lambda t: offset_search(t, s0=s_b)[0],
-        theta_b - math.pi / orientations,
-        theta_b + math.pi / orientations,
+    theta_c, _, s_c = best
+    theta_b, _ = ref_golden_max(
+        lambda t: offset_search(t, s0=s_c)[0],
+        theta_c - math.pi / orientations,
+        theta_c + math.pi / orientations,
         hyp.GOLDEN_ITERS,
     )
-    _, wit_b2, s_b = offset_search(theta_b, s0=s_b, coarse=False)
-    _, wit_fin, a_b = evaluate(theta_b, s_b[0], s_b[1], refine=True)
-    radius = wit_fin.radius
-    for _ in range(60):
-        args = (domain, wit_fin.center, wit_fin.u, wit_fin.w, radius)
-        lat = hyp._lattice_margin(*args, hyp.LATTICE_RADII, hyp.LATTICE_ANGLES)
-        circ = hyp._circle_margin(*args, hyp.LATTICE_ANGLES)
-        if max(lat, circ) <= hyp.CONTAINMENT_MARGIN:
-            break
-        radius *= 0.999
-    return vnorm / ((radius * radius - a_b * a_b) / radius), a_b, radius, wit_fin
+    r, _, s_b = offset_search(theta_b, s0=s_c, coarse=False)
+    if r == -np.inf:
+        theta_b, s_b = theta_c, s_c
+    # the same certificate and bisection as the search
+    w = math.cos(theta_b) * pair[0] + math.sin(theta_b) * pair[1]
+    center = p + s_b[0] * vhat + s_b[1] * w
+    _, top = ref_max_disc_radius(domain, center, vhat, w, bracket=True)
+    certified = hyp._disc_certificate(domain, center, np.stack([vhat, w]), top)
+    radius = tubular.bisect(certified, [0.0], [top], hyp.CERTIFY_ITERS)[0][0]
+    a_b = math.hypot(*s_b)
+    wit = hyp.DiscWitness(center, radius, vhat, w)
+    return vnorm / ((radius * radius - a_b * a_b) / radius), a_b, radius, wit
 
 
 def test_sphere_phi_rounds_as_axis_norm():
@@ -940,9 +957,6 @@ def test_disc_radii_match_per_center_search(name, monkeypatch):
     centers[1] = 0.5 * u  # the first circle already leaves the ball
     centers[2:4] = [0.99 * normal, 0.9 * normal]  # the radius grows 5 and 2 times
     ring = hyperbolicity.plane_ring(0.0, np.stack([u, w]), 1.0, hyperbolicity.LATTICE_ANGLES)
-    for c in centers[:4]:
-        got = hyperbolicity._certified_disc_radius(domain, c, u, w)
-        assert got == ref_max_disc_radius(domain, c, u, w, refine=True)
     for cap in (hyperbolicity.RADIUS_CAP, 0.05):
         monkeypatch.setattr(hyperbolicity, "RADIUS_CAP", cap)
         radius, _ = hyperbolicity._disc_radii(domain, centers, ring)

@@ -118,6 +118,15 @@ def test_failed_projection_past_first_block_raises_as_alone():
     assert np.array_equal(got.best_foot, want.best_foot)
 
 
+def test_projection_error_carries_its_point():
+    scherk = surfaces.scherk()
+    bad = np.array([0.0, 0.0, 40.0])
+    pts = np.vstack([tubular.collar_points(scherk, 8, 0.02, 0.3), bad])
+    with pytest.raises(tubular.ProjectionError) as info, np.errstate(all="ignore"):
+        tubular.project_batch(scherk, pts)
+    assert np.array_equal(info.value.point, bad)
+
+
 def test_cold_projection_working_set_is_bounded():
     # the pulls and the polish hold one block of start rows at a time, so
     # the transient peak grows with the batch only through per-point arrays
