@@ -415,10 +415,13 @@ def verify_barrier(
     projection at the located points.
 
     Each interior and boundary point is projected cold once; (c) and the
-    finite-difference selection reuse those signed distances.
+    finite-difference selection reuse those signed distances. A NaN or
+    infinite sample raises ``ValueError`` naming its argument and row.
     """
     interior_points = np.atleast_2d(np.asarray(interior_points, dtype=float))
     boundary_points = np.atleast_2d(np.asarray(boundary_points, dtype=float))
+    numkit.require_finite("interior_points", interior_points)
+    numkit.require_finite("boundary_points", boundary_points)
     checks = []
     jets = bf.jets(interior_points)
 

@@ -76,12 +76,17 @@ class MetricEstimate:
     containment_checked: bool
 
 
-# the disc search: coarse plane orientations, golden-section steps refining
-# the best one, the largest radius tried, and the angles of each solve circle
+# the disc search: the plane orientations of each grid, the grids zooming in
+# on the best one, the largest radius tried, and the angles of each solve circle
 ORIENTATIONS = 8
-GOLDEN_ITERS = 18
+ZOOM_LEVELS = 2
 RADIUS_CAP = 1e3
 LATTICE_ANGLES = 64
+
+# searches score a disc by its radius times this: the radius that the
+# LATTICE_ANGLES samples of its circle certify where phi is convex (the
+# inscribed polygon's apothem), so no search favours an overstated radius
+_INSCRIBED = math.cos(math.pi / LATTICE_ANGLES)
 
 # the containment certificate of a witness disc (see ``_disc_certificate``):
 # the angles of its polar mesh, the rings a negative Hessian floor pays for,
@@ -89,8 +94,6 @@ LATTICE_ANGLES = 64
 MESH_ANGLES = 512
 MESH_RINGS = 32
 CERTIFY_ITERS = 40
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # at most this many points per phi call of the radius solve: enough rows to
 # amortise the call, few enough to keep a lockstep round's arrays small (on a
@@ -147,10 +150,10 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     Row i lies in the plane of the unit ring ``rings[plane[i]]`` of a
     (P, A, n) table; without ``plane``, ``rings`` is one (A, n) ring for
     every row. Given per-row scores ``beat`` and squared offsets ``a2``, a
-    row whose bracket top T has (T^2 - a2) / T <= beat after the growth or a
-    grid is dropped with a NaN radius: its radius would end below T, and the
-    score R - a2 / R grows with R, so it cannot beat. A row with
-    ``beat = -inf`` is never dropped.
+    row whose bracket top T has (t^2 - a2) / t <= beat, t = T ``_INSCRIBED``,
+    after the growth or a grid is dropped with a NaN radius: its radius R
+    would end below T, and the score r - a2 / r of r = R ``_INSCRIBED`` grows
+    with R, so it cannot beat. A row with ``beat = -inf`` is never dropped.
     """
     if plane is None:
         rings, plane = rings[None], np.zeros(len(centers), dtype=int)
@@ -178,7 +181,8 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     top, lo = seq[keep, f], np.where(f > 0, seq[keep, f - 1], 0.0)
     for _ in range(3):
         if beat is not None:
-            out = (top * top - a2[rows]) / top <= beat[rows]
+            t = top * _INSCRIBED
+            out = (t * t - a2[rows]) / t <= beat[rows]
             radius[rows[out]] = np.nan
             rows, top, lo = rows[~out], top[~out], lo[~out]
         # np.linspace(lo, top, 18)[1:-1], rounded alike (top - lo is never subnormal)
@@ -286,26 +290,6 @@ def _lockstep(searches):
         answers = dict(zip(asks, np.split(radii, cuts)))
 
 
-def _golden_search(fn, lo, hi, iters):
-    """Golden-section search for a maximum of fn on [lo, hi] as a search:
-    fn(x) is a search whose value is the function's at x. The opening two
-    points run in lockstep, then one per step; the value is (argmax, max)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = yield from _lockstep([fn(c), fn(d)])
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = yield from fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = yield from fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def _solve_all(domain, search):
     """Run a search to its value, answering each solve with one
     ``_disc_radii`` call."""
@@ -358,9 +342,10 @@ def _search(domain, p, v):
         return p + z.real[:, None] * vhat + z.imag[:, None] * w
 
     def evaluate(at, offsets, beat):
-        """(1/bound, radius) at each in-plane offset s1 + i s2, in one solve;
-        ``_BEATEN`` where that does not beat ``beat``, as for a disc that is
-        degenerate or was dropped as unable to."""
+        """(score, radius) at each in-plane offset s1 + i s2, in one solve,
+        the score 1/bound of the radius times ``_INSCRIBED``; ``_BEATEN``
+        where that does not beat ``beat``, as for a disc that is degenerate
+        or was dropped as unable to."""
         w, ring = at
         z = np.asarray(offsets, dtype=complex)
         radii = yield _Solve(centers(w, z), ring[None], np.zeros(len(z), dtype=int),
@@ -368,13 +353,14 @@ def _search(domain, p, v):
         out = []
         for s, radius in zip(offsets, radii.tolist()):
             a = math.hypot(s.real, s.imag)
-            good = radius > a * (1.0 + 1e-12) and radius > 0.0  # false for NaN
-            score = (radius * radius - a * a) / radius if good else -np.inf
+            r = radius * _INSCRIBED
+            good = r > a * (1.0 + 1e-12) and r > 0.0  # false for NaN
+            score = (r * r - a * a) / r if good else -np.inf
             out.append((score, radius) if score > beat else _BEATEN)
         return out
 
     def offset_search(at, s0=(0.0, 0.0), coarse=True):
-        """Pattern search for the best in-plane center offset: (1/bound, offset)."""
+        """Pattern search for the best in-plane center offset: (score, offset)."""
         s1, s2 = s0
         ((r, radius),) = yield from evaluate(at, [complex(s1, s2)], -np.inf)
         if not np.isfinite(r):
@@ -403,35 +389,25 @@ def _search(domain, p, v):
                 (r, radius), s1, s2 = seen[gain], gain.real, gain.imag
         return r, (s1, s2)
 
-    thetas = [math.pi * k / ORIENTATIONS for k in range(ORIENTATIONS)]
-    coarse = yield from _lockstep(offset_search(plane(theta)) for theta in thetas)
+    # the plane angle: the ORIENTATIONS coarse planes from offset 0, then
+    # ZOOM_LEVELS grids of ORIENTATIONS planes about the best angle so far,
+    # each spanning the half-spacing left by the grid before it and warm-started
+    # at the best offset; each grid runs in lockstep, and the best plane, which
+    # always has a disc, gets a finer last search
+    grid = [(math.pi * k / ORIENTATIONS, (0.0, 0.0)) for k in range(ORIENTATIONS)]
     best_r = -np.inf
-    best = None  # (theta, (s1, s2))
-    for theta, (r, s) in zip(thetas, coarse):
-        if r > best_r:
-            best_r, best = r, (theta, s)
-
-    if best is None or best_r <= 0.0:
-        return no_disc
-
-    theta_c, s_c = best
-
-    def refined(theta):
-        return (yield from offset_search(plane(theta), s0=s_c))[0]
-
-    # orientation refinement with warm-started offset searches, one after
-    # another but for the opening two, and a finer last search; where its
-    # plane has no disc at the coarse offset, the coarse disc stands
-    theta_b, _ = yield from _golden_search(
-        refined,
-        theta_c - math.pi / ORIENTATIONS,
-        theta_c + math.pi / ORIENTATIONS,
-        GOLDEN_ITERS,
-    )
+    for level in range(ZOOM_LEVELS + 1):
+        found = yield from _lockstep(offset_search(plane(t), s0=s) for t, s in grid)
+        for (t, _), (r, s) in zip(grid, found):
+            if r > best_r:
+                best_r, theta_b, s_b = r, t, s
+        if best_r <= 0.0:
+            return no_disc
+        step = math.pi / ORIENTATIONS ** (level + 2)
+        half = ORIENTATIONS // 2
+        grid = [(theta_b + j * step, s_b) for j in range(-half, half + 1) if j]
     at = plane(theta_b)
-    r, s_b = yield from offset_search(at, s0=s_c, coarse=False)
-    if r == -np.inf:
-        at, s_b = plane(theta_c), s_c
+    _, s_b = yield from offset_search(at, s0=s_b, coarse=False)
 
     # the witness: one bisection of the certificate from 0 up to the top of
     # the final centre's radius bracket, so only a certified radius comes back
@@ -459,16 +435,16 @@ def metric_upper_bound(
 
     Searches plane orientations containing v, in-plane center offsets, and
     disc radii. A pattern search per orientation finds the best center
-    offset; the best orientation is then refined by a golden-section search
-    over the plane angle, each step a warm-started pattern search, and a last
-    finer pattern search. All searches that do not wait on one another run
-    in lockstep, sharing each batched radius solve: the coarse orientations
-    together, the two opening points of the golden refinement together (the
-    later ones follow one another), and, for stacks, all pairs of a group of
-    ``LOCKSTEP_PAIRS``. A candidate offset whose radius bracket already shows
-    that it cannot beat its search's best is dropped before its bracket is
-    narrowed. The result is bit-identical to searching one pair and one
-    offset at a time.
+    offset, scoring each disc by the radius its sampled circle certifies
+    where phi is convex. The plane angle comes from grids of ``ORIENTATIONS``
+    planes: the coarse one from offset 0, then ``ZOOM_LEVELS`` finer ones
+    about the best angle so far, warm-started at its offset; the best plane
+    gets a last, finer pattern search. The searches of a grid run in
+    lockstep, sharing each batched radius solve, and so, for stacks, do all
+    pairs of a group of ``LOCKSTEP_PAIRS``. A candidate offset whose radius
+    bracket already shows that it cannot beat its search's best is dropped
+    before its bracket is narrowed. The result is bit-identical to searching
+    one pair, one plane and one offset at a time.
 
     The returned bound is always an upper bound for the pseudometric. Its
     witnessing disc is certified, pair by pair, by a bisection of the radius

@@ -451,11 +451,13 @@ def reach_estimate(
     no longer be the smallest, and once few rays are left one projection
     call evaluates the midpoints of several levels (see :func:`bisect`).
     Projection rows do not depend on their batch, so the result equals that
-    of bisecting every ray alone.
+    of bisecting every ray alone. A NaN or infinite sample raises
+    ``ValueError`` naming ``boundary_samples`` and its row.
     """
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     if pts.size == 0:
         raise ValueError("empty boundary sample set")
+    numkit.require_finite("boundary_samples", pts)
     frames = surfaces.boundary_frames(domain, pts)
     peak = float(np.max(np.abs(frames.curvatures)))
     focal = np.inf if peak == 0.0 else 1.0 / peak
@@ -585,6 +587,7 @@ def curvature_bounds_check(
     tol: float = 1e-9,
 ) -> CurvatureBoundsReport:
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
+    numkit.require_finite("boundary_samples", pts)
     lower = -(m - 1) / eps
     upper = 1.0 / eps
     nu = surfaces.boundary_frames(domain, pts).curvatures

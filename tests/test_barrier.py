@@ -210,6 +210,22 @@ def test_verify_barrier_catenoid():
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
+def test_verify_barrier_rejects_non_finite_samples():
+    # a NaN interior sample used to get zero jets and margin 0, and pass
+    ball = surfaces.sphere()
+    bf = barrier.build_barrier(ball, m=2, eps=1.0)
+    interior = tubular.collar_points(ball, 50, 1e-3, 0.98 * bf.collar.eps0p)
+    boundary = ball.boundary_samples(32)
+    bad = interior.copy()
+    bad[5, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^interior_points row \[5\] must be finite"):
+        barrier.verify_barrier(bf, bad, boundary)
+    bad = boundary.copy()
+    bad[4, 2] = np.inf
+    with pytest.raises(ValueError, match=r"^boundary_points row \[4\] must be finite"):
+        barrier.verify_barrier(bf, interior, bad)
+
+
 def ref_verify_barrier(bf, interior, boundary, level_count=10):
     """verify_barrier before its warm start, at the default tolerances and
     no finite-difference check: checks (b), (c) and the level bracket each

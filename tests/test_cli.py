@@ -450,7 +450,7 @@ def test_metric_failure_keeps_the_records_before_it(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == '{"record":"meta","tool":"mconvex","version":"0.1.0","kind":"metric","seed":2}'
     assert lines[2:] == [
-        '{"record":"check","name":"pair-0","value":1.0001519864089514,"threshold":1.01,"passed":true,"location":[0.56473583234554292,0.35903140271026679,-0.10211545410507374,0.27298068055600477,-0.75481445484455545,-0.59643665782788446],"detail":"bound 1.3627622 vs exact 1.3625551"}',
+        '{"record":"check","name":"pair-0","value":1.0001958333030267,"threshold":1.01,"passed":true,"location":[0.56473583234554292,0.35903140271026679,-0.10211545410507374,0.27298068055600477,-0.75481445484455545,-0.59643665782788446],"detail":"bound 1.362822 vs exact 1.3625551"}',
         '{"record":"failure","message":"OutsideDomainError: base point [-0.42150233363675704, -0.44629567274297105, -1.0751398080589154] is not inside the domain"}',
         '{"record":"summary","verdict":"error","checks":1,"failed":0}',
     ]

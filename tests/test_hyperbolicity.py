@@ -215,6 +215,29 @@ def test_outside_domain_error_carries_its_point():
     assert info.value.pair == 1 and np.array_equal(info.value.point, pts[1])
 
 
+def test_metric_search_rounds_stay_few(monkeypatch):
+    # the orientation search runs its planes in lockstep grids, so a pair
+    # takes about 90 radius solves; a sequential angle refinement took 442
+    calls = []
+    solve = hyp._disc_radii
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hyp, "_disc_radii", counted)
+    ball = surfaces.sphere()
+    rng = np.random.default_rng(2024)  # the draws of acceptance criterion 7
+    for _ in range(3):
+        direction = rng.standard_normal(3)
+        radius = 0.9 * rng.uniform() ** (1.0 / 3.0)
+        point = rng.standard_normal(3)
+        point *= radius / np.linalg.norm(point)
+        calls.clear()
+        est = hyp.metric_upper_bound(ball, point, direction)
+        assert est.containment_checked and 0 < len(calls) <= 150
+
+
 def test_metric_monotone_under_inclusion():
     small = surfaces.cylinder(1.0)
     large = surfaces.cylinder(1.5)

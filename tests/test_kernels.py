@@ -707,29 +707,6 @@ def ref_max_disc_radius(domain, center, u, w, bracket=False):
     return (lo, hi) if bracket else lo
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def ref_golden_max(fn, lo, hi, iters):
-    """The scalar golden-section search of the plane-angle refinement."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
 def ref_metric_upper_bound(domain, p, v):
     """The one-offset-at-a-time search of ``metric_upper_bound``."""
     hyp = hyperbolicity
@@ -744,9 +721,10 @@ def ref_metric_upper_bound(domain, p, v):
         q = p + s1 * vhat + s2 * w
         a = math.hypot(s1, s2)
         radius = ref_max_disc_radius(domain, q, vhat, w)
-        if radius <= a * (1.0 + 1e-12) or radius <= 0.0:
+        r = radius * math.cos(math.pi / hyp.LATTICE_ANGLES)
+        if r <= a * (1.0 + 1e-12) or r <= 0.0:
             return -np.inf, None, a
-        return (radius * radius - a * a) / radius, hyp.DiscWitness(q, radius, vhat, w), a
+        return (r * r - a * a) / r, hyp.DiscWitness(q, radius, vhat, w), a
 
     def offset_search(theta, s0=(0.0, 0.0), coarse=True):
         s1, s2 = s0
@@ -768,22 +746,16 @@ def ref_metric_upper_bound(domain, p, v):
                 step *= 0.5
         return r, wit, (s1, s2)
 
-    best_r, best = -np.inf, None
-    for k in range(orientations):
-        theta = math.pi * k / orientations
-        r, wit, s = offset_search(theta)
-        if r > best_r:
-            best_r, best = r, (theta, wit, s)
-    theta_c, _, s_c = best
-    theta_b, _ = ref_golden_max(
-        lambda t: offset_search(t, s0=s_c)[0],
-        theta_c - math.pi / orientations,
-        theta_c + math.pi / orientations,
-        hyp.GOLDEN_ITERS,
-    )
-    r, _, s_b = offset_search(theta_b, s0=s_c, coarse=False)
-    if r == -np.inf:
-        theta_b, s_b = theta_c, s_c
+    grid = [(math.pi * k / orientations, (0.0, 0.0)) for k in range(orientations)]
+    best_r = -np.inf
+    for level in range(hyp.ZOOM_LEVELS + 1):
+        for theta, s0 in grid:
+            r, _, s = offset_search(theta, s0=s0)
+            if r > best_r:
+                best_r, theta_b, s_b = r, theta, s
+        step = math.pi / orientations ** (level + 2)
+        grid = [(theta_b + j * step, s_b) for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    _, _, s_b = offset_search(theta_b, s0=s_b, coarse=False)
     # the same certificate and bisection as the search
     w = math.cos(theta_b) * pair[0] + math.sin(theta_b) * pair[1]
     center = p + s_b[0] * vhat + s_b[1] * w
@@ -1001,7 +973,8 @@ def test_pruned_disc_radii_are_sound(name):
         assert np.array_equal(alone[0], radius[rows])
         assert np.array_equal(alone[1], top[rows], equal_nan=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.where(radius > 0.0, (radius * radius - a2) / radius, -np.inf)
+        r = radius * math.cos(math.pi / hyperbolicity.LATTICE_ANGLES)
+        score = np.where(r > 0.0, (r * r - a2) / r, -np.inf)
     # just below its score a row cannot be dropped; at or above it, it may be
     beat = score + np.tile([-1e-9, 0.0, 0.05, 0.5, -0.05], 6) * (1.0 + np.abs(score))
     beat[7] = -np.inf

@@ -321,6 +321,16 @@ def test_reach_empty_rejected():
         tubular.reach_estimate(surfaces.sphere(), np.zeros((0, 3)))
 
 
+def test_boundary_sample_checks_reject_non_finite_samples():
+    ball = surfaces.sphere()
+    samples = ball.boundary_samples(16)
+    samples[3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^boundary_samples row \[3\] must be finite"):
+        tubular.reach_estimate(ball, samples)
+    with pytest.raises(ValueError, match=r"^boundary_samples row \[3\] must be finite"):
+        tubular.curvature_bounds_check(ball, 0.5, 2, samples)
+
+
 def test_reach_estimate_projection_counts():
     # catenoid, 144 samples, 12 probes: bisecting every failing ray one level
     # per call took 41 cold calls on 864 points
