@@ -4,10 +4,11 @@ Within the reach of an embedded boundary, every point has a unique nearest
 boundary point, the signed distance has unit gradient, and its Hessian at an
 offset point is carried by the boundary frame with eigenvalues
 ``nu_j / (1 + delta * nu_j)``. This module computes those objects: a
-multi-start projection solver for generic implicit boundaries, analytic
-shortcuts for exact distance fields, a reach estimator combining focal and
-bottleneck bounds, and the curvature bound checks the collar construction
-relies on.
+multi-start projection solver for generic implicit boundaries (a few damped
+tangential pulls per start, then closed-form Lagrange-Newton steps and a
+polish), analytic shortcuts for exact distance fields, a reach estimator
+combining focal and bottleneck bounds, and the curvature bound checks the
+collar construction relies on.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ BISECT_POINTS = 16
 # start rows one pass of pulls and polish holds: 256 cold query points, so a
 # warm call (one row per point) of up to 4,352 points is never split
 BLOCK_ROWS = 256 * (STARTS + 1)
+# damped pulls each start row takes before its Lagrange-Newton steps
+DAMPED_PULLS = 2
 
 
 class ProjectionError(RuntimeError):
@@ -162,8 +165,16 @@ def project_batch(
     Returns ``(feet, distances, multiplicities)`` with shapes (B, n), (B,),
     (B,). Distances are signed: negative inside the domain. Uses the exact
     projection when the domain provides one, otherwise multi-start
-    tangential pulls followed by a Lagrange-Newton polish. Rows are
+    tangential pulls followed by a Lagrange-Newton polish. Each start row
+    takes ``DAMPED_PULLS`` damped pulls, then Lagrange-Newton steps solved
+    in closed form per row (see :func:`_lagrange_steps`) under the same step
+    cap, until its step falls below ``0.01 * TOL`` or ``MAX_PULL_ITERS``
+    steps have run; a row whose Newton system is singular takes the damped
+    pull instead. The tail converges quadratically where the damped pull
+    only contracts linearly, near focal points above all. Rows are
     independent: a point gets the same bits alone as inside any batch.
+    A NaN or infinite row of ``points`` or ``warm_feet`` raises
+    ``ValueError`` naming the argument and the row.
 
     The seeding, pulls and polish run in blocks of at most ``BLOCK_ROWS``
     (4,352) start rows, 256 cold points; the foot selection and the census
@@ -176,6 +187,9 @@ def project_batch(
     well inside the reach where the nearest foot is unique.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
+    numkit.require_finite("points", x)
+    if warm_feet is not None:
+        numkit.require_finite("warm_feet", np.asarray(warm_feet, dtype=float))
     if domain.exact_projection is not None:
         foot, delta, mult = domain.exact_projection(x)
         return foot, np.asarray(delta, dtype=float), np.asarray(mult, dtype=float)
@@ -251,19 +265,26 @@ def _candidates(domain: ImplicitDomain, x: np.ndarray, starts: np.ndarray, warm:
         p = p.reshape(nb * ns, dim)
     xq = np.repeat(x, ns, axis=0)
 
-    # Damped tangential pulls (full steps oscillate near focal configurations);
-    # the rows still moving stay contiguous in pa and xa until they stop
+    # Damped tangential pulls first (full steps oscillate near focal
+    # configurations), then Lagrange-Newton steps, which converge where the
+    # damped pull only contracts linearly; the rows still moving stay
+    # contiguous in pa and xa until they stop
     pa, xa, rows = p, xq, np.arange(len(p))
-    for _ in range(MAX_PULL_ITERS):
+    for it in range(MAX_PULL_ITERS):
         g = domain.grad(pa)
-        g /= np.maximum(np.sqrt(numkit.axis_sum(g * g)), 1e-300)[:, None]
         d = xa - pa
+        tail = it >= DAMPED_PULLS and dim == 3  # the closed form is 3x3
+        if tail:
+            newton = _lagrange_steps(domain.hess(pa), g, d, domain.phi(pa))
+        g /= np.maximum(np.sqrt(numkit.axis_sum(g * g)), 1e-300)[:, None]
         step = d - numkit.axis_sum(d * g)[:, None] * g
         step *= 0.6  # the damping
+        if tail:  # a row with a singular system takes its damped pull
+            step = np.where(np.isfinite(newton).all(axis=-1)[:, None], newton, step)
         slen = np.sqrt(numkit.axis_sum(step * step))
         cap = 0.5 * (1.0 + np.sqrt(numkit.axis_sum(d * d)))
         step *= np.minimum(1.0, cap / np.maximum(slen, 1e-300))[:, None]
-        pa = _newton_to_surface(domain, pa + step, reps=2)
+        pa = _newton_to_surface(domain, pa + step, reps=1 if tail else 2)
         moved = np.sqrt(numkit.axis_sum(step * step)) >= 0.01 * TOL
         if not moved.all():
             p[rows[~moved]] = pa[~moved]
@@ -292,6 +313,49 @@ def _candidates(domain: ImplicitDomain, x: np.ndarray, starts: np.ndarray, warm:
     phi_feet = np.where(take_b, phi_b, phi_a)
     tang_res = np.where(take_b, tang_b, tang_a)
     return p.reshape(nb, ns, dim), phi_feet.reshape(nb, ns), tang_res.reshape(nb, ns)
+
+
+def _lagrange_steps(h: np.ndarray, g: np.ndarray, d: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The foot part of one Lagrange-Newton step per row, shape (N, 3).
+
+    The system of :func:`_newton_polish`, ``x - p - mu grad(p) = 0`` and
+    ``phi(p) = 0``, with its Jacobian ``[-(I + mu H), -g; g^T, 1e-14]`` and
+    ``mu`` by least squares, solved in closed form at each row: the Schur
+    complement of the 3x3 block ``M = I + mu H``, through its adjugate.
+    ``h`` (N, 3, 3), ``g = grad(p)`` and ``d = x - p`` (N, 3), ``val =
+    phi(p)`` (N,). A row whose block or complement is singular, or whose step
+    is not finite, gets NaN; each row is solved on its own.
+
+    Written on contiguous columns, entry by entry: a stacked
+    ``np.linalg.solve`` of the 4x4 systems ran 1.5-2x slower on 4,352 rows
+    on a 2-core x86 host.
+    """
+    gc, dc = g.T.copy(), d.T.copy()
+    gsq = gc[0] * gc[0] + gc[1] * gc[1] + gc[2] * gc[2]
+    mu = (dc[0] * gc[0] + dc[1] * gc[1] + dc[2] * gc[2]) / np.maximum(gsq, 1e-280)
+    r = dc - mu * gc
+    m = h.reshape(-1, 9).T.copy()
+    m *= mu
+    m[[0, 4, 8]] += 1.0
+    m = m.reshape(3, 3, -1)
+    # adj[i][j], the cofactor of m_ji
+    adj = [[m[(j + 1) % 3, (i + 1) % 3] * m[(j + 2) % 3, (i + 2) % 3]
+            - m[(j + 1) % 3, (i + 2) % 3] * m[(j + 2) % 3, (i + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    det = m[0, 0] * adj[0][0] + m[0, 1] * adj[1][0] + m[0, 2] * adj[2][0]
+    adj_r = [adj[i][0] * r[0] + adj[i][1] * r[1] + adj[i][2] * r[2] for i in range(3)]
+    adj_g = [adj[i][0] * gc[0] + adj[i][1] * gc[1] + adj[i][2] * gc[2] for i in range(3)]
+    # dmu = (-phi D - g.adj r) / (1e-14 D - g.adj g) and dp = (adj r - dmu adj g) / D
+    # with D = det M
+    num = -val * det - (gc[0] * adj_r[0] + gc[1] * adj_r[1] + gc[2] * adj_r[2])
+    schur = 1e-14 * det - (gc[0] * adj_g[0] + gc[1] * adj_g[1] + gc[2] * adj_g[2])
+    solvable = (det != 0.0) & (schur != 0.0)
+    dmu = num / np.where(solvable, schur, 1.0)
+    det = np.where(solvable, det, np.nan)
+    step = np.empty_like(g)
+    for i in range(3):
+        step[:, i] = (adj_r[i] - dmu * adj_g[i]) / det
+    return step
 
 
 def _count_feet(candidates: np.ndarray, near: np.ndarray, sep_tol: np.ndarray) -> np.ndarray:

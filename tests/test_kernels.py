@@ -12,17 +12,20 @@ radial kernel, and the per-center disc radius and one-offset-at-a-time pattern
 search of the disc search. Every kernel row must match its reference within
 1e-12 * (1 + |reference|); the warm-started level bisection must keep the
 same rays and levels and locate its points within 1e-12 of the cold ones;
-the sweep, the integration, the projection, the reach estimate, the census,
-the catenoid, sphere and cylinder fields and the disc search must match
-exactly (the Hessians up to the sign of an exact zero). The cold and warm
-projection (``test_projection_matches_reference_pull_loop``, the catenoid
-axis and the failing Scherk point) must give the reference's feet,
-distances and multiplicities bit for bit, and a point with no converged
-start the same ProjectionError. The lockstep disc search is also checked
-against itself: radii solved with per-row planes and with
-candidates dropped as unable to win must equal those solved one plane at a
-time without dropping (and a dropped row must truly not win), and a stack
-of pairs must give, bit for bit, the estimates of one pair at a time.
+the sweep, the integration, the reach estimate, the census, the catenoid,
+sphere and cylinder fields and the disc search must match exactly (the
+Hessians up to the sign of an exact zero). The cold and warm projection
+(``test_projection_matches_reference_pull_loop``, the catenoid axis and the
+failing Scherk point) ends its pull loop in Newton steps the damped
+reference does not take, so it must give the reference's feet and distances
+within 1e-12 * (1 + |reference|) and its multiplicities exactly, and a
+point with no converged start the same ProjectionError message with its
+residual and best foot within 1e-12; on the catenoid the feet must also lie
+within 1e-12 of an independent meridian-plane minimiser. The lockstep disc
+search is also checked against itself: radii solved with per-row planes and
+with candidates dropped as unable to win must equal those solved one plane
+at a time without dropping (and a dropped row must truly not win), and a
+stack of pairs must give, bit for bit, the estimates of one pair at a time.
 The Omega_D and convex probes are checked against their per-point
 containment: the scalar membership and vertical-disc test must give the
 same membership and every ChainBound field bit for bit, and the per-trial
@@ -441,12 +444,15 @@ def ref_project_batch(domain, points, warm_feet=None):
     return feet, sign * best, mult
 
 
-def assert_same_projection(domain, points, warm_feet=None):
+def assert_projection_matches_reference(domain, points, warm_feet=None):
+    """Feet and distances within 1e-12 of the damped pull loop, which the
+    Newton tail shortens; the same multiplicities."""
     got = tubular.project_batch(domain, points, warm_feet=warm_feet)
     with np.errstate(over="ignore", invalid="ignore"):  # diverging starts
         want = ref_project_batch(domain, points, warm_feet=warm_feet)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    assert_close(got[0], want[0])
+    assert_close(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
     return got
 
 
@@ -463,11 +469,11 @@ def test_projection_matches_reference_pull_loop(name):
     rng = np.random.default_rng(11)
     lo, hi = 0.8 * domain.box
     for count in (1, 24, 500):
-        assert_same_projection(domain, rng.uniform(lo, hi, (count, 3)))
+        assert_projection_matches_reference(domain, rng.uniform(lo, hi, (count, 3)))
     collar = tubular.collar_points(domain, 300, 0.02, 0.98)
-    feet = assert_same_projection(domain, collar)[0]
+    feet = assert_projection_matches_reference(domain, collar)[0]
     moved = collar + 1e-3 * rng.standard_normal(collar.shape)
-    assert_same_projection(domain, moved, warm_feet=feet)
+    assert_projection_matches_reference(domain, moved, warm_feet=feet)
 
 
 def test_projection_matches_reference_on_catenoid_axis(monkeypatch):
@@ -475,7 +481,7 @@ def test_projection_matches_reference_on_catenoid_axis(monkeypatch):
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: singular.append(len(a)) or slogdet(a))
     axis = np.outer([0.0, 0.3, -0.5], [0.0, 0.0, 1.0])
-    mult = assert_same_projection(surfaces.catenoid(), axis)[2]
+    mult = assert_projection_matches_reference(surfaces.catenoid(), axis)[2]
     # the polish met singular systems there, and every axis point has many feet
     assert singular and np.all(mult > 1)
 
@@ -488,9 +494,50 @@ def test_failed_projection_raises_as_reference():
             project(scherk, np.array([0.0, 0.0, 40.0]))
         errors.append(info.value)
     got, want = errors
-    assert str(got) == str(want) and got.residual == want.residual
-    assert np.array_equal(got.best_foot, want.best_foot)
+    assert str(got) == str(want)
+    assert_close(got.residual, want.residual)
+    assert_close(got.best_foot, want.best_foot)
     assert got.residual == pytest.approx(13.41, abs=0.01)
+
+
+def ref_catenoid_feet(x):
+    """Nearest points of the unit catenoid rho = cosh z to points off its
+    axis, from the meridian plane alone: the global minimiser of
+    (rho_x - cosh z)^2 + (z - z_x)^2 over a fine grid of z, then the zero of
+    its derivative (cosh z - rho_x) sinh z + z - z_x bisected to the last
+    bit next to it."""
+    feet = np.empty_like(x)
+    zs = np.linspace(-4.0, 4.0, 80001)
+    for i, (px, py, pz) in enumerate(x):
+        rho = math.hypot(px, py)
+        k = int(np.argmin((rho - np.cosh(zs)) ** 2 + (zs - pz) ** 2))
+        lo, hi = zs[k - 1], zs[k + 1]
+
+        def slope(z):
+            return (math.cosh(z) - rho) * math.sinh(z) + z - pz
+
+        assert slope(lo) < 0.0 < slope(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        z = lo if abs(slope(lo)) <= abs(slope(hi)) else hi
+        feet[i] = [px * math.cosh(z) / rho, py * math.cosh(z) / rho, z]
+    return feet
+
+
+def test_catenoid_projection_matches_meridian_minimiser():
+    cat = surfaces.catenoid()
+    rng = np.random.default_rng(5)
+    lo, hi = 0.8 * cat.box
+    pts = np.vstack([tubular.collar_points(cat, 300, 0.02, 0.98), rng.uniform(lo, hi, (60, 3))])
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-3]
+    feet, delta, _ = tubular.project_batch(cat, pts)
+    want = ref_catenoid_feet(pts)
+    assert_close(feet, want)
+    sign = np.where(cat.phi(pts) >= 0.0, 1.0, -1.0)
+    assert_close(delta, sign * np.linalg.norm(pts - want, axis=-1))
 
 
 # ---------------------------------------------------------------------------

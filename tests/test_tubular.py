@@ -316,6 +316,30 @@ def test_scherk_reach_estimate_emits_no_warnings():
     )
 
 
+def test_scherk_collar_jets_emit_no_warnings():
+    # the Newton tail must keep diverging starts as quiet as the damped
+    # pull: the deep point below the floor sends starts off to overflow
+    dom = surfaces.scherk()
+    seen = []
+    grad = dom._grad
+    dom._grad = lambda x: seen.append(np.isfinite(x).all()) or grad(x)
+    pts = np.vstack([tubular.collar_points(dom, 300, 0.02, 0.98), [[1.666, 0.0, -1.169]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = tubular.distance_jet(dom, pts, floor=-1.0)
+    assert not all(seen)
+    assert np.all(jet.active[:-1]) and not jet.active[-1]
+    assert np.allclose(np.linalg.norm(jet.grad[:-1], axis=-1), 1.0)
+
+
+def test_catenoid_reach_is_exact():
+    # the exact reach is 1, the focal radius at the neck; the damped pull
+    # loop alone stopped at 0.9996039
+    cat = surfaces.catenoid()
+    est = tubular.reach_estimate(cat, cat.boundary_samples(144), probe_count=12)
+    assert 1.0 - 1e-6 <= est.value <= 1.0
+
+
 def test_reach_empty_rejected():
     with pytest.raises(ValueError):
         tubular.reach_estimate(surfaces.sphere(), np.zeros((0, 3)))
@@ -333,7 +357,9 @@ def test_boundary_sample_checks_reject_non_finite_samples():
 
 def test_reach_estimate_projection_counts():
     # catenoid, 144 samples, 12 probes: bisecting every failing ray one level
-    # per call took 41 cold calls on 864 points
+    # per call took 41 cold calls on 864 points; the reach is now resolved
+    # past 0.9996039, where the damped pull loop alone stopped, in one more
+    # call
     cat = surfaces.catenoid()
     calls = []
     project = tubular.project_batch
@@ -345,8 +371,32 @@ def test_reach_estimate_projection_counts():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tubular, "project_batch", counting)
         est = tubular.reach_estimate(cat, cat.boundary_samples(144), probe_count=12)
-    assert est.value == 0.9996039413508695
-    assert (len(calls), sum(calls)) == (13, 198)
+    assert est.value == 0.9999998999992383
+    assert (len(calls), sum(calls)) == (14, 209)
+
+
+def test_cold_projection_grad_count():
+    # the 300-point catenoid collar batch took 2,459 grad points per point
+    # with damped pulls alone; the Newton tail must cut at least two thirds
+    cat = surfaces.catenoid()
+    pts = tubular.collar_points(cat, 300, 0.02, 0.98)
+    counts = []
+    grad = cat._grad
+    cat._grad = lambda x: counts.append(len(x)) or grad(x)
+    tubular.project_batch(cat, pts)
+    assert sum(counts) <= 820 * len(pts)
+
+
+def test_projection_rejects_non_finite_input():
+    # a NaN point used to run the whole multi-start and then raise a
+    # misleading ProjectionError
+    cat = surfaces.catenoid()
+    with pytest.raises(ValueError, match=r"^points row \[1\] must be finite"):
+        tubular.project_batch(cat, [[0.5, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^warm_feet row \[0\] must be finite"):
+        tubular.project_batch(cat, [[0.5, 0.0, 0.0]], warm_feet=[[np.inf, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^points row \[0\] must be finite"):
+        tubular.project_batch(surfaces.sphere(), [np.nan, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
