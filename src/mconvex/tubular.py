@@ -4,9 +4,9 @@ Within the reach of an embedded boundary, every point has a unique nearest
 boundary point, the signed distance has unit gradient, and its Hessian at an
 offset point is carried by the boundary frame with eigenvalues
 ``nu_j / (1 + delta * nu_j)``. This module computes those objects: a
-multi-start projection solver for generic implicit boundaries (a few damped
-tangential pulls per start, then closed-form Lagrange-Newton steps and a
-polish), analytic shortcuts for exact distance fields, a reach estimator
+multi-start projection solver for generic implicit boundaries in R^3 (a few
+damped tangential pulls per start, then closed-form Lagrange-Newton steps),
+analytic shortcuts for exact distance fields, a reach estimator
 combining focal and bottleneck bounds, and the curvature bound checks the
 collar construction relies on.
 """
@@ -22,17 +22,16 @@ from . import numkit, surfaces
 from .surfaces import ImplicitDomain, SurfacePoint
 
 # the multi-start projection: boundary seeds per point, convergence
-# tolerance, pull and Newton budgets, and the nearest-foot census tolerances
+# tolerance, step budget, and the nearest-foot census tolerances
 STARTS = 16
 TOL = 1e-10
 MAX_PULL_ITERS = 60
-NEWTON_ITERS = 4
 CLUSTER_TOL = 1e-6
 EQUAL_DISTANCE_TOL = 1e-7
 # midpoints a pruned bisection hands ``below`` per call, at most (one level
 # always runs)
 BISECT_POINTS = 16
-# start rows one pass of pulls and polish holds: 256 cold query points, so a
+# start rows one pass of the pull loop holds: 256 cold query points, so a
 # warm call (one row per point) of up to 4,352 points is never split
 BLOCK_ROWS = 256 * (STARTS + 1)
 # damped pulls each start row takes before its Lagrange-Newton steps
@@ -107,53 +106,6 @@ def _newton_to_surface(domain: ImplicitDomain, p: np.ndarray, reps: int = 2) -> 
     return p
 
 
-def _newton_polish(domain: ImplicitDomain, p: np.ndarray, xq: np.ndarray, ns: int):
-    """Lagrange-Newton polish on (p, mu): x - p - mu * grad(p) = 0, phi(p) = 0.
-
-    ``p`` holds ``ns`` candidate rows per point of ``xq``. A point with a
-    singular system stops polishing alone: no point depends on its batch.
-    """
-    dim = p.shape[-1]
-    p2 = p.copy()
-    g = domain.grad(p2)
-    mu = numkit.axis_sum((xq - p2) * g) / np.maximum(numkit.axis_sum(g * g), 1e-280)
-    live = np.ones(len(p) // ns, dtype=bool)  # query points still being polished
-    rows = slice(None)  # their candidate rows; a view while every point is live
-    for _ in range(NEWTON_ITERS):
-        q, m, xr = p2[rows], mu[rows], xq[rows]
-        g = domain.grad(q)
-        h = domain.hess(q)
-        r1 = xr - q - m[:, None] * g
-        r2 = domain.phi(q)
-        jac = np.zeros((q.shape[0], dim + 1, dim + 1))
-        jac[:, :dim, :dim] = -np.eye(dim)[None, :, :] - m[:, None, None] * h
-        jac[:, :dim, dim] = -g
-        jac[:, dim, :dim] = g
-        jac[:, dim, dim] = 1e-14
-        rhs = np.concatenate([r1, r2[:, None]], axis=-1)
-        try:
-            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # slogdet runs the same LU as solve: sign 0 exactly where it fails
-            with np.errstate(invalid="ignore"):
-                singular = np.linalg.slogdet(jac)[0] == 0.0
-            frozen = np.any(singular.reshape(-1, ns), axis=1)
-            live[np.flatnonzero(live)[frozen]] = False
-            if not np.any(live):
-                break
-            keep = np.repeat(~frozen, ns)
-            q, m, jac, rhs = q[keep], m[keep], jac[keep], rhs[keep]
-            rows = np.repeat(live, ns)
-            delta = np.linalg.solve(jac, -rhs[..., None])[..., 0]
-        delta = np.where(np.isfinite(delta), delta, 0.0)
-        step = delta[:, :dim]
-        slen = np.sqrt(numkit.axis_sum(step * step))[:, None]
-        step = step * np.minimum(1.0, 0.25 / np.maximum(slen, 1e-300))
-        p2[rows] = q + step
-        mu[rows] = m + np.clip(delta[:, dim], -0.25, 0.25)
-    return _newton_to_surface(domain, p2, reps=2)
-
-
 def project_batch(
     domain: ImplicitDomain,
     points: np.ndarray,
@@ -165,18 +117,20 @@ def project_batch(
     Returns ``(feet, distances, multiplicities)`` with shapes (B, n), (B,),
     (B,). Distances are signed: negative inside the domain. Uses the exact
     projection when the domain provides one, otherwise multi-start
-    tangential pulls followed by a Lagrange-Newton polish. Each start row
-    takes ``DAMPED_PULLS`` damped pulls, then Lagrange-Newton steps solved
-    in closed form per row (see :func:`_lagrange_steps`) under the same step
-    cap, until its step falls below ``0.01 * TOL`` or ``MAX_PULL_ITERS``
+    tangential pulls and Lagrange-Newton steps, which need n = 3: another
+    dimension without an exact projection raises ``ValueError``. Each
+    start row takes ``DAMPED_PULLS`` damped pulls, then Lagrange-Newton
+    steps solved in closed form per row (see :func:`_lagrange_steps`) under
+    the same step cap, until its step falls below ``0.01 * TOL`` or ``MAX_PULL_ITERS``
     steps have run; a row whose Newton system is singular takes the damped
     pull instead. The tail converges quadratically where the damped pull
-    only contracts linearly, near focal points above all. Rows are
-    independent: a point gets the same bits alone as inside any batch.
-    A NaN or infinite row of ``points`` or ``warm_feet`` raises
-    ``ValueError`` naming the argument and the row.
+    only contracts linearly, near focal points above all. Each row's
+    candidate is the foot its loop ends on. Rows are independent: a point
+    gets the same bits alone as inside any batch. A NaN or infinite row of
+    ``points`` or ``warm_feet`` raises ``ValueError`` naming the argument
+    and the row; a point whose norm overflows raises ``ProjectionError``.
 
-    The seeding, pulls and polish run in blocks of at most ``BLOCK_ROWS``
+    The seeding and the pull loop run in blocks of at most ``BLOCK_ROWS``
     (4,352) start rows, 256 cold points; the foot selection and the census
     run once over the whole batch, so memory grows with the batch only
     through the per-point outputs of the blocks and of the selection.
@@ -193,9 +147,15 @@ def project_batch(
     if domain.exact_projection is not None:
         foot, delta, mult = domain.exact_projection(x)
         return foot, np.asarray(delta, dtype=float), np.asarray(mult, dtype=float)
+    if domain.dim != 3:
+        raise ValueError(
+            f"projection onto {domain.name!r} needs an exact projection: "
+            f"the multi-start solver works in dimension 3, not {domain.dim}"
+        )
 
     nb, dim = x.shape
-    # diverging starts overflow to inf and NaN; the ok mask below drops them
+    # diverging starts overflow to inf and NaN, and so does the norm of a huge
+    # point; the ok mask below drops them
     with np.errstate(over="ignore", invalid="ignore"):
         warm = warm_feet is not None
         if warm:
@@ -212,16 +172,17 @@ def project_batch(
             blk = slice(lo, lo + size)
             p[blk], phi_feet[blk], tang_res[blk] = _candidates(
                 domain, x[blk], starts[blk] if warm else starts, warm)
+        scale = 1.0 + np.sqrt(numkit.axis_sum(x * x))
+        dist = np.sqrt(numkit.axis_sum(np.square(x[:, None, :] - p)))
 
-    scale = 1.0 + np.sqrt(numkit.axis_sum(x * x))
-    ok = phi_feet <= 1e-9 * scale[:, None]
+    # a point whose norm overflows has no tolerance to meet: no row of it is ok
+    ok = np.isfinite(scale)[:, None] & (phi_feet <= 1e-9 * scale[:, None])
     ok &= tang_res <= 1e3 * TOL * scale[:, None]
     # only sharply converged critical points may witness extra nearest feet;
     # near-focal valleys leave loosely converged candidates at nearly the
     # best distance that would otherwise fake a multiplicity
     critical = ok & (tang_res <= 1e2 * TOL * scale[:, None])
 
-    dist = np.sqrt(numkit.axis_sum(np.square(x[:, None, :] - p)))
     dist_masked = np.where(ok, dist, np.inf)
     best_idx = np.argmin(dist_masked, axis=1)
     best = dist_masked[np.arange(nb), best_idx]
@@ -244,9 +205,8 @@ def project_batch(
 
 
 def _candidates(domain: ImplicitDomain, x: np.ndarray, starts: np.ndarray, warm: bool):
-    """Pulled and polished start rows of the points ``x`` (b, n): the
-    candidate feet (b, S, n) with their ``|phi|`` and tangential residuals
-    (b, S).
+    """Pulled start rows of the points ``x`` (b, n): the candidate feet
+    (b, S, n) with their ``|phi|`` and tangential residuals (b, S).
 
     Warm, ``starts`` holds one foot per point, S = 1. Cold, it holds the
     polished boundary seeds every point starts from, and each point also
@@ -273,7 +233,7 @@ def _candidates(domain: ImplicitDomain, x: np.ndarray, starts: np.ndarray, warm:
     for it in range(MAX_PULL_ITERS):
         g = domain.grad(pa)
         d = xa - pa
-        tail = it >= DAMPED_PULLS and dim == 3  # the closed form is 3x3
+        tail = it >= DAMPED_PULLS
         if tail:
             newton = _lagrange_steps(domain.hess(pa), g, d, domain.phi(pa))
         g /= np.maximum(np.sqrt(numkit.axis_sum(g * g)), 1e-300)[:, None]
@@ -293,33 +253,22 @@ def _candidates(domain: ImplicitDomain, x: np.ndarray, starts: np.ndarray, warm:
                 break
     p[rows] = pa
 
-    # Non-destructive: the polished candidate only replaces the pull result
-    # where it ends up strictly closer to the surface-optimality conditions.
-    p2 = _newton_polish(domain, p, xq, ns)
-
-    def residuals(cand):
-        phi_c = np.abs(domain.phi(cand))
-        g_c = domain.grad(cand)
-        gsq = np.maximum(numkit.axis_sum(g_c * g_c), 1e-280)
-        d_c = xq - cand
-        g_c *= (numkit.axis_sum(d_c * g_c) / gsq)[:, None]
-        d_c -= g_c
-        return phi_c, np.sqrt(numkit.axis_sum(d_c * d_c))
-
-    phi_a, tang_a = residuals(p)
-    phi_b, tang_b = residuals(p2)
-    take_b = (phi_b + tang_b) < (phi_a + tang_a)
-    p = np.where(take_b[:, None], p2, p)
-    phi_feet = np.where(take_b, phi_b, phi_a)
-    tang_res = np.where(take_b, tang_b, tang_a)
+    phi_feet = np.abs(domain.phi(p))
+    g = domain.grad(p)
+    d = xq - p
+    gsq = np.maximum(numkit.axis_sum(g * g), 1e-280)
+    g *= (numkit.axis_sum(d * g) / gsq)[:, None]
+    d -= g
+    tang_res = np.sqrt(numkit.axis_sum(d * d))
     return p.reshape(nb, ns, dim), phi_feet.reshape(nb, ns), tang_res.reshape(nb, ns)
 
 
 def _lagrange_steps(h: np.ndarray, g: np.ndarray, d: np.ndarray, val: np.ndarray) -> np.ndarray:
     """The foot part of one Lagrange-Newton step per row, shape (N, 3).
 
-    The system of :func:`_newton_polish`, ``x - p - mu grad(p) = 0`` and
-    ``phi(p) = 0``, with its Jacobian ``[-(I + mu H), -g; g^T, 1e-14]`` and
+    The foot ``p`` and multiplier ``mu`` of a nearest foot of ``x`` solve
+    ``x - p - mu grad(p) = 0`` and ``phi(p) = 0``. One Newton step on that
+    system, with its Jacobian ``[-(I + mu H), -g; g^T, 1e-14]`` and
     ``mu`` by least squares, solved in closed form at each row: the Schur
     complement of the 3x3 block ``M = I + mu H``, through its adjugate.
     ``h`` (N, 3, 3), ``g = grad(p)`` and ``d = x - p`` (N, 3), ``val =

@@ -332,7 +332,7 @@ def ref_newton_polish(domain, p, xq, ns):
     mu = np.sum((xq - p2) * g, axis=-1) / np.maximum(np.sum(g * g, axis=-1), 1e-280)
     live = np.ones(len(p) // ns, dtype=bool)
     rows = slice(None)
-    for _ in range(tubular.NEWTON_ITERS):
+    for _ in range(4):
         q, m, xr = p2[rows], mu[rows], xq[rows]
         g = domain.grad(q)
         h = domain.hess(q)

@@ -52,9 +52,9 @@ def test_catenoid_axis_multiplicity():
 @pytest.mark.parametrize("case", ["catenoid-axis", "generic-sphere-centre", "scherk"])
 def test_projection_rows_do_not_depend_on_their_batch(case):
     # the appended centre has several nearest feet and singular Newton
-    # systems; it must not stop the polish of the other points. On Scherk,
-    # some starts of the last point diverge and the other starts stop
-    # pulling after many different numbers of steps, so rows leave the
+    # systems; it must not stop the Newton steps of the other points. On
+    # Scherk, some starts of the last point diverge and the other starts
+    # stop pulling after many different numbers of steps, so rows leave the
     # loop's working arrays at different times
     if case == "catenoid-axis":
         dom = surfaces.catenoid()
@@ -85,9 +85,9 @@ def test_projection_rows_do_not_depend_on_their_batch(case):
 
 
 def test_projection_blocks_do_not_change_rows():
-    # one call over four blocks of pulls and polish, with axis points (many
-    # feet, singular Newton systems) on both sides of the block boundaries,
-    # against calls over sub-batches cut elsewhere
+    # one call over four blocks of pull loops, with axis points (many feet,
+    # singular Newton systems) on both sides of the block boundaries, against
+    # calls over sub-batches cut elsewhere
     dom = surfaces.catenoid()
     per_block = tubular.BLOCK_ROWS // (tubular.STARTS + 1)
     pts = tubular.collar_points(dom, 3 * per_block + 40, 0.02, 0.98)
@@ -128,8 +128,8 @@ def test_projection_error_carries_its_point():
 
 
 def test_cold_projection_working_set_is_bounded():
-    # the pulls and the polish hold one block of start rows at a time, so
-    # the transient peak grows with the batch only through per-point arrays
+    # the pull loop holds one block of start rows at a time, so the
+    # transient peak grows with the batch only through per-point arrays
     dom = surfaces.catenoid()
     peaks = []
     for count in (256, 1024):
@@ -377,14 +377,18 @@ def test_reach_estimate_projection_counts():
 
 def test_cold_projection_grad_count():
     # the 300-point catenoid collar batch took 2,459 grad points per point
-    # with damped pulls alone; the Newton tail must cut at least two thirds
+    # with damped pulls alone, and 426 grad and 151 hess points per point
+    # with the Newton tail and a 4-step stacked Newton polish after it; the
+    # tail alone takes 290 and 83
     cat = surfaces.catenoid()
     pts = tubular.collar_points(cat, 300, 0.02, 0.98)
-    counts = []
-    grad = cat._grad
-    cat._grad = lambda x: counts.append(len(x)) or grad(x)
+    counts = {"grad": [], "hess": []}
+    for name, rows in counts.items():
+        kernel = getattr(cat, "_" + name)
+        setattr(cat, "_" + name, lambda x, k=kernel, r=rows: r.append(len(x)) or k(x))
     tubular.project_batch(cat, pts)
-    assert sum(counts) <= 820 * len(pts)
+    assert sum(counts["grad"]) <= 340 * len(pts)
+    assert sum(counts["hess"]) <= 100 * len(pts)
 
 
 def test_projection_rejects_non_finite_input():
@@ -397,6 +401,47 @@ def test_projection_rejects_non_finite_input():
         tubular.project_batch(cat, [[0.5, 0.0, 0.0]], warm_feet=[[np.inf, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"^points row \[0\] must be finite"):
         tubular.project_batch(surfaces.sphere(), [np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk"])
+def test_projection_of_huge_point_raises_without_overflow(name):
+    # the squared norm of the point overflows, so no tolerance scaled by it
+    # can be met; on Scherk some foot would otherwise pass that check
+    dom = surfaces.make_domain(name)
+    huge = [1e200, 0.0, 0.0]
+    pts = np.vstack([tubular.collar_points(dom, 4, 0.02, 0.3), huge])
+    at = r"at \[1e\+200, 0\.0, 0\.0\]$"
+    with warnings.catch_warnings(), pytest.raises(tubular.ProjectionError, match=at) as info:
+        warnings.simplefilter("error")
+        tubular.project_batch(dom, pts)
+    assert np.array_equal(info.value.point, huge)
+
+
+def disc(exact):
+    """The unit disc in R^2, with or without its exact projection."""
+
+    def circle(count):
+        angles = 2.0 * np.pi * np.arange(count) / count
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+    def project(x):
+        r = np.linalg.norm(x, axis=-1)
+        return x / r[:, None], r - 1.0, np.ones(len(x))
+
+    return surfaces.ImplicitDomain(
+        "disc", 2, lambda x: np.sum(x * x, axis=-1) - 1.0, lambda x: 2.0 * x,
+        lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape + (2,)).copy(),
+        boundary_sampler=circle, exact_projection=project if exact else None,
+    )
+
+
+def test_multi_start_projection_needs_dimension_3():
+    # the closed-form Newton steps are 3x3: another dimension must not fall
+    # back silently to damped pulls alone
+    with pytest.raises(ValueError, match=r"'disc'.*dimension 3, not 2$"):
+        tubular.project_batch(disc(exact=False), [[0.5, 0.0]])
+    feet, delta, mult = tubular.project_batch(disc(exact=True), [[0.5, 0.0]])
+    assert np.array_equal(feet, [[1.0, 0.0]]) and delta[0] == -0.5 and mult[0] == 1
 
 
 # ---------------------------------------------------------------------------
