@@ -448,8 +448,11 @@ def verify_barrier(
     floor = 1e-6 * bf.scale
     all_pts = np.concatenate([interior_points, boundary_points])
     deltas_all = np.concatenate([jets.delta, bdeltas])
-    vals_all = bf.value_from_delta(deltas_all)
-    regular_mask = (vals_all > -1.0) & (vals_all <= 0.0)
+    vals = bf.value_from_delta(jets.delta)
+    # boundary samples lie on the level 0 by construction, whatever the sign
+    # of the rounding noise in their signed distance
+    regular_mask = np.concatenate([(vals > -1.0) & (vals <= 0.0),
+                                   np.ones(len(boundary_points), dtype=bool)])
     gnorms = bf.chain_coefficients(deltas_all)[0]
     worst_g = np.inf
     worst_gpt = None

@@ -58,6 +58,9 @@ class Key:
 
 
 POSITIVE, NONNEGATIVE, COUNT = "(0, inf)", "[0, inf)", "[1, inf)"
+# a domain length: the catalog fields square coordinates, and the squares of
+# points 10^4 such lengths out still stay finite
+LENGTH = "(0, 1e150]"
 _N = surfaces.AMBIENT_DIM
 
 
@@ -161,9 +164,9 @@ SCHEMA = {
     "workers": Key(int, 1, COUNT),
     "output.path": Key(str, None),
     "output.format": Key(str, "json-lines", choices=FORMATS),
-    # the catalog builder's parameters, each a positive length
+    # the catalog builder's parameters, each a length
     "domain.name": Key(str, "sphere", choices={
-        name: {f"domain.{arg}": Key(float, None, POSITIVE)
+        name: {f"domain.{arg}": Key(float, None, LENGTH)
                for arg in inspect.signature(build).parameters}
         for name, build in surfaces.DOMAIN_BUILDERS.items()}),
     "grid.interior": Key(int, 2000, COUNT),

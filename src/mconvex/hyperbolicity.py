@@ -139,6 +139,36 @@ def _first_exit(domain, centers, rings, plane, radii, stop, chunk):
     return first
 
 
+def _circles_leave(domain, centers, rings, plane, radii):
+    """Per row, whether the circle of radius ``radii`` leaves the domain: some
+    sample has phi above ``CONTAINMENT_MARGIN`` (a NaN sample decides nothing);
+    at most ``PHI_POINTS`` points per field evaluation."""
+    rows = max(1, PHI_POINTS // rings.shape[1])
+    return np.concatenate([np.zeros(0, bool)] + [
+        _circle_margins_many(domain, centers[k:k + rows], rings, plane[k:k + rows],
+                             radii[k:k + rows, None])[:, 0] > CONTAINMENT_MARGIN
+        for k in range(0, len(radii), rows)
+    ])
+
+
+def _threshold_radii(beat, a2):
+    """Per row, the largest radius whose score does not beat ``beat``: the
+    root of (t^2 - a2) / t = beat, t = radius ``_INSCRIBED``, stepped down
+    until the float test holds; NaN where ``beat`` is not finite."""
+    q = np.full(len(beat), np.nan)
+    fin = np.flatnonzero(np.isfinite(beat))
+    b, a = beat[fin], a2[fin]
+    r = (b + np.sqrt(b * b + 4.0 * a)) / 2.0 / _INSCRIBED
+    while True:
+        t = r * _INSCRIBED
+        over = (t * t - a) / t > b
+        if not over.any():
+            break
+        r[over] = np.nextafter(r[over], 0.0)
+    q[fin] = r
+    return q
+
+
 def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     """Largest admissible radii of flat discs at B centers, with the top of
     each final bracket (NaN where the radius is 0, outside the margin, or the
@@ -149,11 +179,23 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
 
     Row i lies in the plane of the unit ring ``rings[plane[i]]`` of a
     (P, A, n) table; without ``plane``, ``rings`` is one (A, n) ring for
-    every row. Given per-row scores ``beat`` and squared offsets ``a2``, a
-    row whose bracket top T has (t^2 - a2) / t <= beat, t = T ``_INSCRIBED``,
-    after the growth or a grid is dropped with a NaN radius: its radius R
-    would end below T, and the score r - a2 / r of r = R ``_INSCRIBED`` grows
-    with R, so it cannot beat. A row with ``beat = -inf`` is never dropped.
+    every row. Given per-row scores ``beat`` and squared offsets ``a2``, the
+    rows that cannot beat are dropped with a NaN radius before each grid. The
+    score (t^2 - a2) / t of t = R ``_INSCRIBED`` grows with the radius R, so a
+    row is dropped when one circle at a radius q whose score does not beat
+    shows that R ends below q:
+    - the bracket top T, whose circle left at the growth or the last grid;
+    - a probe circle at q that leaves, with max phi above the margin (a NaN
+      probe drops nothing). On any domain q is the last column of the coming
+      grid whose score does not beat: if its circle leaves, the grid's first
+      exit is at or before it. Where the domain's ``hess_floor`` is 0 on one
+      ball holding every row's ball B(c, T), q is the largest radius in the
+      bracket whose score does not beat (``_threshold_radii``): phi is then
+      convex along each sampled ray, the centre is inside, and R is 0 or a
+      radius whose circle was evaluated inside, so every circle up to R is
+      inside at the sampled angles and a circle at q that leaves means R < q.
+    A kept row is solved exactly as without ``beat``, and a row with
+    ``beat = -inf`` is never dropped.
     """
     if plane is None:
         rings, plane = rings[None], np.zeros(len(centers), dtype=int)
@@ -179,14 +221,31 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     keep = keep[~capped[keep, f[keep]]]
     f, rows = f[keep], rows[keep]
     top, lo = seq[keep, f], np.where(f > 0, seq[keep, f - 1], 0.0)
+    if beat is not None:
+        tp = _threshold_radii(beat, a2)
     for _ in range(3):
-        if beat is not None:
-            t = top * _INSCRIBED
-            out = (t * t - a2[rows]) / t <= beat[rows]
-            radius[rows[out]] = np.nan
-            rows, top, lo = rows[~out], top[~out], lo[~out]
         # np.linspace(lo, top, 18)[1:-1], rounded alike (top - lo is never subnormal)
         rr = np.arange(1.0, 17.0) * ((top - lo) / 17)[:, None] + lo[:, None]
+        if beat is not None and rows.size:
+            b, a = beat[rows, None], a2[rows, None]
+            t = np.hstack([rr, top[:, None]]) * _INSCRIBED
+            # per row, the grid columns and the top whose scores do not beat
+            low = (t * t - a) / t <= b
+            out = low[:, -1]
+            c = centers[rows]
+            mid = 0.5 * (c.min(axis=0) + c.max(axis=0))
+            big = float(np.max(numkit.row_norms(c - mid)[:, 0] + top))
+            if domain.hess_floor is not None and domain.hess_floor(mid, big) == 0.0:
+                q = tp[rows]
+                probe = (lo < q) & (q < top)
+            else:
+                j = np.cumprod(low[:, :-1], axis=1).sum(axis=1) - 1
+                q = rr[np.arange(rows.size), j]
+                probe = j >= 0
+            probe &= ~out
+            out[probe] = _circles_leave(domain, c[probe], rings, plane[rows[probe]], q[probe])
+            radius[rows[out]] = np.nan
+            rows, top, lo, rr = rows[~out], top[~out], lo[~out], rr[~out]
         f = _first_exit(domain, centers[rows], rings, plane[rows], rr,
                         np.zeros(rr.shape, bool), 8)
         at = np.arange(rows.size)
@@ -441,10 +500,10 @@ def metric_upper_bound(
     about the best angle so far, warm-started at its offset; the best plane
     gets a last, finer pattern search. The searches of a grid run in
     lockstep, sharing each batched radius solve, and so, for stacks, do all
-    pairs of a group of ``LOCKSTEP_PAIRS``. A candidate offset whose radius
-    bracket already shows that it cannot beat its search's best is dropped
-    before its bracket is narrowed. The result is bit-identical to searching
-    one pair, one plane and one offset at a time.
+    pairs of a group of ``LOCKSTEP_PAIRS``. A candidate offset that cannot
+    beat its search's best is dropped as soon as its bracket top or one probe
+    circle before a radius grid shows it (see ``_disc_radii``). The result is
+    bit-identical to searching one pair, one plane and one offset at a time.
 
     The returned bound is always an upper bound for the pseudometric. Its
     witnessing disc is certified, pair by pair, by a bisection of the radius

@@ -71,6 +71,8 @@ class ImplicitDomain:
     a lower bound on the eigenvalues of Hess ``phi`` there where ``phi`` is
     C^2. Like ``reach_hint`` it is domain geometry; it is what certifies a
     witness disc of the metric search, and a domain without it certifies none.
+    Where it is 0, ``phi`` is convex on the ball, which also lets the radius
+    solve of the search drop a losing candidate disc with one probe circle.
     """
 
     def __init__(

@@ -226,6 +226,20 @@ def test_verify_barrier_rejects_non_finite_samples():
         barrier.verify_barrier(bf, interior, bad)
 
 
+def test_gradient_floor_counts_every_boundary_sample():
+    # a boundary sample whose signed distance rounds to +2e-16 used to drop
+    # out of the regular count, so the count followed the rounding noise
+    ball = surfaces.sphere()
+    bf = barrier.build_barrier(ball, m=2, eps=1.0)
+    interior = tubular.collar_points(ball, 40, 1e-3, 0.5 * bf.collar.eps1)
+    nudged = ball.boundary_samples(32) * (1.0 + 2.0 ** -52)
+    assert np.sum(bf.value_batch(nudged) > 0.0) > 20
+    vals = bf.value_batch(interior)
+    expected = int(np.sum((vals > -1.0) & (vals <= 0.0))) + len(nudged)
+    floor = barrier.verify_barrier(bf, interior, nudged).checks[2]
+    assert floor.name == "gradient-floor" and floor.count == expected
+
+
 def ref_verify_barrier(bf, interior, boundary, level_count=10):
     """verify_barrier before its warm start, at the default tolerances and
     no finite-difference check: checks (b), (c) and the level bracket each
@@ -246,6 +260,7 @@ def ref_verify_barrier(bf, interior, boundary, level_count=10):
     deltas = bf.delta_batch(all_pts)
     vals = bf.value_from_delta(deltas)
     regular = (vals > -1.0) & (vals <= 0.0)
+    regular[len(interior):] = True  # the boundary samples, on the level 0
     masked = np.where(regular, bf.chain_coefficients(deltas)[0], np.inf)
     i = int(np.argmin(masked))
     checks.append(check("gradient-floor", float(masked[i]), floor, bool(masked[i] > floor),

@@ -126,6 +126,21 @@ def test_schema_violation_exits_2_naming_path(tmp_path, monkeypatch, capsys, kin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, arg", [("sphere", "radius"), ("cylinder", "radius"),
+                                       ("catenoid", "scale")])
+def test_huge_domain_length_exits_2_naming_path(tmp_path, capsys, name, arg):
+    # such a length overflowed in the fields' squares, and the run ended in a
+    # failure record: a RuntimeWarning, or else a misleading SingularPointError
+    out = tmp_path / "report.jsonl"
+    cfg = write_cfg(tmp_path, {"domain": {"name": name, arg: 1.0e300}})
+    assert cli.main(["metric", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: domain.{arg}: " in capsys.readouterr().err
+    assert not out.exists()
+    # the largest length admitted builds its domain without a warning
+    assert config.validate({"kind": "metric", "domain": {"name": name, arg: 1e150}})
+    surfaces.make_domain(name, **{arg: 1e150})
+
+
 def test_yaml_syntax_error_exits_2_naming_file(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
     path.write_text("kind: barrier\ndomain: {name: sphere}\nbarrier: {m: 2\n")

@@ -99,27 +99,30 @@ def test_metric_disc_still_outside_after_shrinking_certifies_nothing():
     assert est.witness.radius == 0.0 and est.offset == 0.0
 
 
-def spiked_ball(spike, sigma=1e-4):
-    """The unit ball with a thin concave spike: phi = |x| - 1 + g, where
-    g = exp(-|x - spike|^2 / (2 sigma^2)), is positive within about sigma of
-    ``spike``. Hess g has smallest eigenvalue -g / sigma^2, so the honest
-    floor over a ball at distance d from ``spike`` is
-    -exp(-d^2 / (2 sigma^2)) / sigma^2."""
-    spike = np.asarray(spike, dtype=float)
+def spiked_ball(spikes, sigma=1e-4):
+    """The unit ball with thin concave spikes: phi = |x| - 1 + sum_k g_k,
+    where g_k = exp(-|x - spike_k|^2 / (2 sigma^2)), is positive within about
+    sigma of each of the (k, 3) ``spikes`` (one (3,) spike is one row). Hess
+    g_k has smallest eigenvalue -g_k / sigma^2, so the honest floor over a
+    ball at distance d_k from spike k is the sum of
+    -exp(-d_k^2 / (2 sigma^2)) / sigma^2."""
+    spikes = np.atleast_2d(np.asarray(spikes, dtype=float))
 
     def g(x):
-        return np.exp(-np.sum(np.square(x - spike), axis=-1) / (2.0 * sigma * sigma))
+        d2 = np.sum(np.square(x[..., None, :] - spikes), axis=-1)
+        return np.exp(-d2 / (2.0 * sigma * sigma))
 
     def phi(x):
-        return np.sqrt(np.sum(np.square(x), axis=-1)) - 1.0 + g(x)
+        return np.sqrt(np.sum(np.square(x), axis=-1)) - 1.0 + np.sum(g(x), axis=-1)
 
     def grad(x):
         unit = x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-300)
-        return unit - g(x)[..., None] * (x - spike) / (sigma * sigma)
+        pull = np.sum(g(x)[..., None] * (x[..., None, :] - spikes), axis=-2)
+        return unit - pull / (sigma * sigma)
 
     def hess_floor(center, radius):
-        d = max(0.0, float(np.linalg.norm(center - spike)) - radius)
-        return -math.exp(-d * d / (2.0 * sigma * sigma)) / (sigma * sigma)
+        d = np.maximum(0.0, np.linalg.norm(center - spikes, axis=-1) - radius)
+        return -float(np.sum(np.exp(-d * d / (2.0 * sigma * sigma)))) / (sigma * sigma)
 
     return surfaces.ImplicitDomain("spiked-ball", 3, phi, grad, hess_floor=hess_floor)
 
@@ -236,6 +239,30 @@ def test_metric_search_rounds_stay_few(monkeypatch):
         calls.clear()
         est = hyp.metric_upper_bound(ball, point, direction)
         assert est.containment_checked and 0 < len(calls) <= 150
+
+
+def test_metric_stack_phi_points_stay_few():
+    # candidate discs that cannot win are dropped after one probe circle, not
+    # three radius grids: the six pairs below took 33,412,019 phi points when
+    # each such disc ran its grids until its bracket top fell
+    ball = surfaces.sphere()
+    points = []
+
+    def phi(x):
+        points.append(np.shape(x)[0] if np.ndim(x) > 1 else 1)
+        return ball.phi(x)
+
+    counted = surfaces.ImplicitDomain("counted-ball", 3, phi, ball.grad, ball.hess,
+                                      hess_floor=ball.hess_floor)
+    rng = np.random.default_rng(2024)  # the draws of acceptance criterion 7
+    p, v = np.zeros((6, 3)), np.zeros((6, 3))
+    for k in range(6):
+        v[k] = rng.standard_normal(3)
+        radius = 0.9 * rng.uniform() ** (1.0 / 3.0)
+        p[k] = rng.standard_normal(3)
+        p[k] *= radius / np.linalg.norm(p[k])
+    assert all(est.containment_checked for est in hyp.metric_upper_bound(counted, p, v))
+    assert sum(points) <= 0.55 * 33_412_019
 
 
 def test_metric_monotone_under_inclusion():

@@ -24,7 +24,8 @@ residual and best foot within 1e-12; on the catenoid the feet must also lie
 within 1e-12 of an independent meridian-plane minimiser. The lockstep disc
 search is also checked against itself: radii solved with per-row planes and
 with candidates dropped as unable to win must equal those solved one plane
-at a time without dropping (and a dropped row must truly not win), and a
+at a time without dropping (and a dropped row must truly not win, also
+on a ball with thin spikes where phi is not monotone along a ray), and a
 stack of pairs must give, bit for bit, the estimates of one pair at a time.
 The Omega_D and convex probes are checked against their per-point
 containment: the scalar membership and vertical-disc test must give the
@@ -41,6 +42,7 @@ import pytest
 
 import mconvex
 from mconvex import barrier, cli, discs, hyperbolicity, mpsh, numkit, surfaces, tubular
+from test_hyperbolicity import spiked_ball
 
 
 def assert_close(actual, reference):
@@ -999,9 +1001,29 @@ def test_metric_upper_bound_matches_sequential_search(name, seed):
     assert np.array_equal(est.witness.w, wit.w)
 
 
-@pytest.mark.parametrize("name", ["sphere", "catenoid"])
-def test_pruned_disc_radii_are_sound(name):
-    domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
+def recorded_solve(monkeypatch, *args, **kwargs):
+    """``_disc_radii(*args, **kwargs)`` and the (B, R) radii handed to each
+    of its ``_first_exit`` calls: the growth (R = 60), then the grids (R = 16)."""
+    calls = []
+    first_exit = hyperbolicity._first_exit
+
+    def recording(domain, centers, rings, plane, radii, stop, chunk):
+        calls.append(radii)
+        return first_exit(domain, centers, rings, plane, radii, stop, chunk)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hyperbolicity, "_first_exit", recording)
+        return hyperbolicity._disc_radii(*args, **kwargs), calls
+
+
+def score_of(radius, a2):
+    """The score (t^2 - a2) / t, t = radius ``_INSCRIBED``, of the searches."""
+    t = radius * math.cos(math.pi / hyperbolicity.LATTICE_ANGLES)
+    return (t * t - a2) / t
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid", "scherk", "spiked-ball"])
+def test_pruned_disc_radii_are_sound(name, monkeypatch):
     rng = np.random.default_rng(23)
     rings = []
     for normal in rng.standard_normal((3, 3)):
@@ -1012,6 +1034,29 @@ def test_pruned_disc_radii_are_sound(name):
     centers = rng.uniform(-0.5, 0.5, (30, 3))
     plane = rng.integers(0, len(rings), len(centers))
     a2 = rng.uniform(0.0, 0.2, len(centers))
+    spiked = {}
+    if name == "spiked-ball":
+        # spikes on some centres' circles, inside the plain ball's disc: on a
+        # first-grid column (the grid exits there, and larger circles are
+        # inside again) or between two columns (no grid circle sees it; a
+        # probe at its radius would, and the floor there is not 0)
+        (plain, _), (_, rr, *_) = recorded_solve(monkeypatch, surfaces.sphere(), centers,
+                                                 rings, plane)
+        assert rr.shape == (len(centers), 16)
+        spikes = []
+        for k in range(len(centers)):
+            inside = int(np.sum(rr[k] < 0.98 * plain[k]))
+            if k == 7 or inside < 2:
+                continue
+            j = int(rng.integers(0, inside - 1))
+            rho = rr[k, j] if len(spikes) % 2 else 0.5 * (rr[k, j] + rr[k, j + 1])
+            spikes.append(centers[k] + rho * rings[plane[k], rng.integers(0, 64)])
+            if len(spikes) % 2:
+                spiked[k] = rho
+        assert len(spikes) >= 8
+        domain = spiked_ball(spikes)
+    else:
+        domain = surfaces.make_domain(name)
     radius, top = hyperbolicity._disc_radii(domain, centers, rings, plane)
     # per-row planes round as one plane at a time
     for k, ring in enumerate(rings):
@@ -1022,15 +1067,40 @@ def test_pruned_disc_radii_are_sound(name):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = radius * math.cos(math.pi / hyperbolicity.LATTICE_ANGLES)
         score = np.where(r > 0.0, (r * r - a2) / r, -np.inf)
-    # just below its score a row cannot be dropped; at or above it, it may be
-    beat = score + np.tile([-1e-9, 0.0, 0.05, 0.5, -0.05], 6) * (1.0 + np.abs(score))
+        # just below its score a row cannot be dropped; at or above it, it
+        # may be (a row of radius 0 gets beat NaN, which drops nothing)
+        beat = score + np.tile([-1e-9, 0.0, 0.05, 0.5, -0.05], 6) * (1.0 + np.abs(score))
     beat[7] = -np.inf
+    for k, rho in spiked.items():
+        # the spike's radius is the largest that does not beat
+        assert radius[k] > rho
+        beat[k] = score_of(rho, a2[k])
     got, got_top = hyperbolicity._disc_radii(domain, centers, rings, plane, beat, a2)
     dropped = np.isnan(got)
     assert dropped.any() and not dropped[7]
     assert np.array_equal(got[~dropped], radius[~dropped])
     assert np.array_equal(got_top[~dropped], top[~dropped], equal_nan=True)
     assert np.all(score[dropped] <= beat[dropped])
+
+
+def test_grid_column_probe_drops_a_row_at_a_spike(monkeypatch):
+    # a spike on a first-grid circle of a centre whose disc in the plain ball
+    # beats: at the spike's score, the probe of that column leaves and drops
+    # the row before any grid; a thin spike is not convex, so only the grid
+    # column, whose circle the grid would read, may be probed
+    center, a2 = np.array([[0.2, -0.1, 0.3]]), np.array([0.01])
+    u, w = numkit.orthonormal_complement(np.array([0.6, 0.0, 0.8]))
+    ring = hyperbolicity.plane_ring(0.0, np.stack([u, w]), 1.0, hyperbolicity.LATTICE_ANGLES)
+    (plain, _), (_, rr, *_) = recorded_solve(monkeypatch, surfaces.sphere(), center, ring)
+    j = 5
+    assert rr[0, j] < plain[0]
+    domain = spiked_ball(center[0] + rr[0, j] * ring[9])
+    radius, _ = hyperbolicity._disc_radii(domain, center, ring)
+    beat = score_of(rr[:, j], a2)
+    assert radius[0] < rr[0, j] and score_of(radius, a2) <= beat < score_of(plain, a2)
+    (got, top), calls = recorded_solve(monkeypatch, domain, center, ring, beat=beat, a2=a2)
+    assert np.isnan(got[0]) and np.isnan(top[0])
+    assert [radii.shape for radii in calls if len(radii)] == [(1, 60)]  # the growth only
 
 
 @pytest.mark.parametrize("name", ["sphere", "catenoid"])
