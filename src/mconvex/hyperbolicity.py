@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -101,10 +101,6 @@ CERTIFY_ITERS = 40
 # slower)
 PHI_POINTS = 4096
 
-# pairs of one metric_upper_bound stack searched in lockstep at a time; the
-# searches of a group are all in flight together, so this bounds their state
-LOCKSTEP_PAIRS = 8
-
 
 def _circle_margins_many(domain, centers, rings, plane, radii):
     """Boundary-circle maxima of phi (B, R) for radii (B, R) about B centers,
@@ -190,7 +186,8 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
       grid whose score does not beat: if its circle leaves, the grid's first
       exit is at or before it. Where the domain's ``hess_floor`` is 0 on one
       ball holding every row's ball B(c, T), q is the largest radius in the
-      bracket whose score does not beat (``_threshold_radii``): phi is then
+      bracket whose score does not beat (``_threshold_radii``), probed at
+      most once per row, as q does not change from grid to grid: phi is then
       convex along each sampled ray, the centre is inside, and R is 0 or a
       radius whose circle was evaluated inside, so every circle up to R is
       inside at the sampled angles and a circle at q that leaves means R < q.
@@ -223,6 +220,7 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
     top, lo = seq[keep, f], np.where(f > 0, seq[keep, f - 1], 0.0)
     if beat is not None:
         tp = _threshold_radii(beat, a2)
+        tried = np.zeros(len(centers), dtype=bool)
     for _ in range(3):
         # np.linspace(lo, top, 18)[1:-1], rounded alike (top - lo is never subnormal)
         rr = np.arange(1.0, 17.0) * ((top - lo) / 17)[:, None] + lo[:, None]
@@ -237,7 +235,9 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
             big = float(np.max(numkit.row_norms(c - mid)[:, 0] + top))
             if domain.hess_floor is not None and domain.hess_floor(mid, big) == 0.0:
                 q = tp[rows]
-                probe = (lo < q) & (q < top)
+                # a row whose probe at q came back inside is not probed there again
+                probe = (lo < q) & (q < top) & ~tried[rows]
+                tried[rows[probe]] = True
             else:
                 j = np.cumprod(low[:, :-1], axis=1).sum(axis=1) - 1
                 q = rr[np.arange(rows.size), j]
@@ -299,79 +299,10 @@ def _disc_certificate(domain, center, span, top):
     return certified
 
 
-# the score and radius of an offset that cannot improve its search
-_BEATEN = (-math.inf, math.nan)
-
-
-class _Solve(NamedTuple):
-    """Radius solves a search asks for (see ``_disc_radii``): centers (B, n),
-    a (P, A, n) table of unit rings with a plane index per row, and per row
-    the score to beat and the squared offset."""
-
-    centers: np.ndarray
-    rings: np.ndarray
-    plane: np.ndarray
-    beat: np.ndarray
-    a2: np.ndarray
-
-
-def _merge(solves):
-    """One solve holding the rows of all, in order, with the planes renumbered."""
-    if len(solves) == 1:
-        return solves[0]
-    shift = np.cumsum([0] + [len(s.rings) for s in solves[:-1]])
-    solves = [s._replace(plane=s.plane + k) for s, k in zip(solves, shift)]
-    return _Solve(*map(np.concatenate, zip(*solves)))
-
-
-def _lockstep(searches):
-    """Run search generators side by side and return their values in order.
-
-    A search yields a ``_Solve`` and is sent the radii of its rows. Each
-    round merges the solves of every live search into one, yields it, and
-    sends each search its own rows of the answer, so a lockstep is itself a
-    search and nests with ``yield from``.
-    """
-    searches = list(searches)
-    values = [None] * len(searches)
-    answers = dict.fromkeys(range(len(searches)))
-    while True:
-        asks = {}
-        for i, answer in answers.items():
-            try:
-                asks[i] = searches[i].send(answer)
-            except StopIteration as stop:
-                values[i] = stop.value
-        if not asks:
-            return values
-        radii = yield _merge(list(asks.values()))
-        cuts = np.cumsum([len(s.centers) for s in asks.values()])[:-1]
-        answers = dict(zip(asks, np.split(radii, cuts)))
-
-
-def _solve_all(domain, search):
-    """Run a search to its value, answering each solve with one
-    ``_disc_radii`` call."""
-    radii = None
-    while True:
-        try:
-            ask = search.send(radii)
-        except StopIteration as stop:
-            return stop.value
-        radii = _disc_radii(domain, ask.centers, ask.rings, ask.plane, ask.beat, ask.a2)[0]
-
-
-def _caught(search):
-    """The search, with the error it raises, if any, as its value."""
-    try:
-        return (yield from search)
-    except Exception as exc:
-        return exc
-
-
-def _search(domain, p, v):
-    """The disc search of one pair (p, v), as a search generator (see
-    ``_lockstep``) whose value is its ``MetricEstimate``."""
+def _pair_frame(domain, p, v):
+    """The norm of v and the orthonormal (3, n) frame of v-hat and its
+    complement, for the disc search of one pair (p, v); ``OutsideDomainError``
+    when p is not inside, ``ValueError`` when v is 0."""
     if not float(domain.phi(p)) < 0.0:  # a NaN value is not inside
         raise OutsideDomainError(f"base point {p.tolist()} is not inside the domain", point=p)
     # the metric is homogeneous of degree 1 in v: scaling v by the power of
@@ -383,106 +314,124 @@ def _search(domain, p, v):
     scale = math.ldexp(1.0, math.frexp(scale)[1] - 1)
     unorm = float(np.linalg.norm(v / scale))
     vhat = v / scale / unorm
-    comp = numkit.orthonormal_complement(vhat)
+    return unorm * scale, np.vstack([vhat, numkit.orthonormal_complement(vhat)])
 
-    # the estimate when no disc is certified
-    no_disc = MetricEstimate(p, v, math.inf, DiscWitness(p, 0.0, vhat, comp[0]), 0.0, False)
+
+def _offset_searches(domain, base, vhat, w, rings, s, coarse):
+    """Pattern searches for the best in-plane centre offset, one per row: the
+    disc at offset s1 + i s2 of search i is centred at base + s1 vhat + s2 w
+    of that row, in the plane of its unit circle ``rings[i]``, and search i
+    starts at ``s[i]``. Each round scores the eight neighbours of every live
+    search in one solve; the first, in ``dirs`` order, that beats the
+    search's best wins, and otherwise its step halves. The per-search best
+    score (-inf where the start has no disc) and its offset."""
+
+    def scores(search, z, beat):
+        """Per row, the score of the disc at offset z of search ``search``:
+        1/bound of its radius times ``_INSCRIBED``, and -inf for a degenerate
+        disc or one dropped as unable to beat ``beat``; also the radii."""
+        s1, s2 = z.real, z.imag
+        centers = base[search] + s1[:, None] * vhat[search] + s2[:, None] * w[search]
+        radius = _disc_radii(domain, centers, rings, search, beat, s1 * s1 + s2 * s2)[0]
+        a = np.array([math.hypot(x, y) for x, y in zip(s1.tolist(), s2.tolist())])
+        r = radius * _INSCRIBED
+        good = (r > a * (1.0 + 1e-12)) & (r > 0.0)  # false for NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(good, (r * r - a * a) / r, -np.inf), radius
+
+    s = s.astype(complex)
+    best, radius = scores(np.arange(len(s)), s, np.full(len(s), -np.inf))
+    step = 0.25 * radius
+    floor = 1e-4 * np.maximum(1.0, radius) * (10.0 if coarse else 1.0)
+    h = 0.7071067811865476
+    dirs = np.array([1.0, -1.0, 1j, -1j, h + h * 1j, h - h * 1j, -h + h * 1j, -h - h * 1j])
+    # the centre each search left at its last gain: scoring below its best,
+    # that neighbour can never win, so it is not solved again
+    back = np.full(len(s), complex(np.nan, np.nan))
+    live = np.flatnonzero(np.isfinite(best) & (step > floor))
+    while live.size:
+        trial = s[live, None] + step[live, None] * dirs
+        fresh = trial != back[live, None]
+        search = np.broadcast_to(live[:, None], fresh.shape)[fresh]
+        score = np.full(fresh.shape, -np.inf)
+        score[fresh] = scores(search, trial[fresh], best[search])[0]
+        gain = score > best[live, None]
+        won = gain.any(axis=1)
+        j, at = np.argmax(gain[won], axis=1), live[won]
+        back[at] = s[at]
+        best[at], s[at] = score[won, j], trial[won, j]
+        step[live[~won]] *= 0.5
+        live = live[step[live] > floor[live]]
+    return best, s
+
+
+def _search(domain, p, v, frames):
+    """The disc searches of a stack of pairs (p, v), each with its
+    ``_pair_frame``, in lockstep: each round of the searches of every pair is
+    one ``_disc_radii`` call. The estimates of the pairs in order, up to the
+    first whose certification raises, and that error (or None)."""
+    if not frames:
+        return (), None
+    norm, frame = zip(*frames)
+    vhat, *comp = np.array(frame).swapaxes(0, 1)
+    # the estimates when no disc is certified
+    estimates = [MetricEstimate(p[k], v[k], math.inf, DiscWitness(p[k], 0.0, vhat[k], comp[0][k]),
+                                0.0, False) for k in range(len(p))]
     if domain.hess_floor is None:
-        return no_disc
+        return tuple(estimates), None
 
-    def plane(theta: float):
-        """The disc plane's second spanning vector at theta and its unit circle."""
-        w = math.cos(theta) * comp[0] + math.sin(theta) * comp[1]
-        return w, plane_ring(0.0, np.stack([vhat, w]), 1.0, LATTICE_ANGLES)
-
-    def centers(w, offsets):
-        """The disc centers p + s1 vhat + s2 w of in-plane offsets s1 + i s2."""
-        z = np.asarray(offsets, dtype=complex)
-        return p + z.real[:, None] * vhat + z.imag[:, None] * w
-
-    def evaluate(at, offsets, beat):
-        """(score, radius) at each in-plane offset s1 + i s2, in one solve,
-        the score 1/bound of the radius times ``_INSCRIBED``; ``_BEATEN``
-        where that does not beat ``beat``, as for a disc that is degenerate
-        or was dropped as unable to."""
-        w, ring = at
-        z = np.asarray(offsets, dtype=complex)
-        radii = yield _Solve(centers(w, z), ring[None], np.zeros(len(z), dtype=int),
-                             np.full(len(z), beat), z.real * z.real + z.imag * z.imag)
-        out = []
-        for s, radius in zip(offsets, radii.tolist()):
-            a = math.hypot(s.real, s.imag)
-            r = radius * _INSCRIBED
-            good = r > a * (1.0 + 1e-12) and r > 0.0  # false for NaN
-            score = (r * r - a * a) / r if good else -np.inf
-            out.append((score, radius) if score > beat else _BEATEN)
-        return out
-
-    def offset_search(at, s0=(0.0, 0.0), coarse=True):
-        """Pattern search for the best in-plane center offset: (score, offset)."""
-        s1, s2 = s0
-        ((r, radius),) = yield from evaluate(at, [complex(s1, s2)], -np.inf)
-        if not np.isfinite(r):
-            return -np.inf, (s1, s2)
-        step = 0.25 * radius
-        floor = 1e-4 * max(1.0, radius)
-        if coarse:
-            floor = 10.0 * floor
-        h = 0.7071067811865476
-        dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-        dirs += [(h, h), (h, -h), (-h, h), (-h, -h)]
-        # every offset scored so far, as s1 + i s2: the search often steps
-        # back to one. An offset that did not beat r stays _BEATEN, as r never
-        # falls and only a gain is read back.
-        seen = {complex(s1, s2): (r, radius)}
-        while step > floor:
-            # all eight neighbours in one batch; the first in dirs order that improves wins
-            trial = [complex(s1 + step * dx, s2 + step * dy) for dx, dy in dirs]
-            fresh = [z for z in dict.fromkeys(trial) if z not in seen]
-            if fresh:
-                seen.update(zip(fresh, (yield from evaluate(at, fresh, r))))
-            gain = next((z for z in trial if seen[z][0] > r), None)
-            if gain is None:
-                step *= 0.5
-            else:
-                (r, radius), s1, s2 = seen[gain], gain.real, gain.imag
-        return r, (s1, s2)
+    def planes(pair, theta):
+        """The second spanning vectors and unit circles of the planes at
+        angles ``theta`` about the pairs ``pair``."""
+        w = np.array([math.cos(t) * comp[0][k] + math.sin(t) * comp[1][k]
+                      for k, t in zip(pair.tolist(), theta.tolist())])
+        return w, plane_ring(0.0, np.stack([vhat[pair], w], axis=1), 1.0, LATTICE_ANGLES)
 
     # the plane angle: the ORIENTATIONS coarse planes from offset 0, then
     # ZOOM_LEVELS grids of ORIENTATIONS planes about the best angle so far,
-    # each spanning the half-spacing left by the grid before it and warm-started
-    # at the best offset; each grid runs in lockstep, and the best plane, which
-    # always has a disc, gets a finer last search
-    grid = [(math.pi * k / ORIENTATIONS, (0.0, 0.0)) for k in range(ORIENTATIONS)]
-    best_r = -np.inf
+    # each spanning the half-spacing left by the grid before it and
+    # warm-started at the best offset; a pair whose coarse grid finds no disc
+    # leaves, and the best plane of each other pair gets a finer last search
+    live = np.arange(len(p))
+    best, theta, s_b = np.full(len(p), -np.inf), np.zeros(len(p)), np.zeros(len(p), complex)
+    grid = math.pi * np.arange(ORIENTATIONS) / ORIENTATIONS
+    half = ORIENTATIONS // 2
     for level in range(ZOOM_LEVELS + 1):
-        found = yield from _lockstep(offset_search(plane(t), s0=s) for t, s in grid)
-        for (t, _), (r, s) in zip(grid, found):
-            if r > best_r:
-                best_r, theta_b, s_b = r, t, s
-        if best_r <= 0.0:
-            return no_disc
-        step = math.pi / ORIENTATIONS ** (level + 2)
-        half = ORIENTATIONS // 2
-        grid = [(theta_b + j * step, s_b) for j in range(-half, half + 1) if j]
-    at = plane(theta_b)
-    _, s_b = yield from offset_search(at, s0=s_b, coarse=False)
+        pair = live.repeat(ORIENTATIONS)
+        angle = theta[live, None] + grid
+        w, rings = planes(pair, angle.ravel())
+        r, s = (x.reshape(live.size, ORIENTATIONS) for x in _offset_searches(
+            domain, p[pair], vhat[pair], w, rings, s_b[pair], coarse=True))
+        j = np.argmax(r, axis=1)  # the first best plane
+        won = r[np.arange(live.size), j] > best[live]
+        at, j = live[won], j[won]
+        best[at], theta[at], s_b[at] = r[won, j], angle[won, j], s[won, j]
+        if not (live := live[best[live] > 0.0]).size:
+            return tuple(estimates), None
+        grid = np.array([k for k in range(-half, half + 1) if k]) * (
+            math.pi / ORIENTATIONS ** (level + 2))
+    w, rings = planes(live, theta[live])
+    s = _offset_searches(domain, p[live], vhat[live], w, rings, s_b[live], coarse=False)[1]
 
-    # the witness: one bisection of the certificate from 0 up to the top of
-    # the final centre's radius bracket, so only a certified radius comes back
-    w = at[0]
-    center = centers(w, [complex(*s_b)])[0]
-    radius, top = (float(x[0]) for x in _disc_radii(domain, center[None, :], at[1]))
-    if radius == 0.0:
-        return no_disc
-    top = RADIUS_CAP if math.isnan(top) else top
-    certified = _disc_certificate(domain, center, np.stack([vhat, w]), top)
-    radius = float(tubular.bisect(certified, [0.0], [top], CERTIFY_ITERS)[0][0])
-    a_b = math.hypot(*s_b)
-    if not radius > a_b * (1.0 + 1e-12):
-        return no_disc
-    bound = unorm * scale / ((radius * radius - a_b * a_b) / radius)
-    return MetricEstimate(p, v, bound, DiscWitness(center, radius, vhat, w), a_b, True)
+    # the witnesses: per pair, one bisection of the certificate from 0 up to
+    # the top of the final centre's radius bracket, so only a certified
+    # radius comes back
+    center = p[live] + s.real[:, None] * vhat[live] + s.imag[:, None] * w
+    radius, top = _disc_radii(domain, center, rings, np.arange(live.size))
+    for i, k in enumerate(live.tolist()):
+        if radius[i] == 0.0:
+            continue
+        top_i = RADIUS_CAP if math.isnan(top[i]) else float(top[i])
+        try:
+            certified = _disc_certificate(domain, center[i], np.stack([vhat[k], w[i]]), top_i)
+            rad = float(tubular.bisect(certified, [0.0], [top_i], CERTIFY_ITERS)[0][0])
+        except Exception as exc:
+            return tuple(estimates[:k]), exc
+        a_b = math.hypot(s[i].real, s[i].imag)
+        if rad > a_b * (1.0 + 1e-12):
+            estimates[k] = MetricEstimate(p[k], v[k], norm[k] / ((rad * rad - a_b * a_b) / rad),
+                                          DiscWitness(center[i], rad, vhat[k], w[i]), a_b, True)
+    return tuple(estimates), None
 
 
 def metric_upper_bound(
@@ -498,12 +447,12 @@ def metric_upper_bound(
     where phi is convex. The plane angle comes from grids of ``ORIENTATIONS``
     planes: the coarse one from offset 0, then ``ZOOM_LEVELS`` finer ones
     about the best angle so far, warm-started at its offset; the best plane
-    gets a last, finer pattern search. The searches of a grid run in
-    lockstep, sharing each batched radius solve, and so, for stacks, do all
-    pairs of a group of ``LOCKSTEP_PAIRS``. A candidate offset that cannot
-    beat its search's best is dropped as soon as its bracket top or one probe
-    circle before a radius grid shows it (see ``_disc_radii``). The result is
-    bit-identical to searching one pair, one plane and one offset at a time.
+    gets a last, finer pattern search. The searches of every pair of a stack
+    run in lockstep, each round sharing one batched radius solve. A
+    candidate offset that cannot beat its search's best is dropped as soon
+    as its bracket top or one probe circle before a radius grid shows it
+    (see ``_disc_radii``). The result is bit-identical to searching one
+    pair, one plane and one offset at a time.
 
     The returned bound is always an upper bound for the pseudometric. Its
     witnessing disc is certified, pair by pair, by a bisection of the radius
@@ -517,9 +466,9 @@ def metric_upper_bound(
     argument and the row.
 
     ``p`` and ``v`` of shape (3,) give one ``MetricEstimate``; stacks of
-    shape (B, 3) give a tuple of B. An error of a stack is the one the first
-    failing pair raises, with ``pair`` set to that pair's index and
-    ``estimates`` to the estimates of the pairs before it.
+    shape (B, 3) give a tuple of B. An error is the one the first failing
+    pair raises, with ``pair`` set to that pair's index and ``estimates`` to
+    the estimates of the pairs before it.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -529,18 +478,20 @@ def metric_upper_bound(
         raise ValueError(f"points and directions must lie in R^3, got shape {p.shape}")
     numkit.require_finite("p", p, OutsideDomainError)  # a NaN point is not inside
     numkit.require_finite("v", v)
-    if p.ndim == 1:
-        return _solve_all(domain, _search(domain, p, v))
-    estimates = []
-    for k in range(0, len(p), LOCKSTEP_PAIRS):
-        group = (_caught(_search(domain, *pv))
-                 for pv in zip(p[k:k + LOCKSTEP_PAIRS], v[k:k + LOCKSTEP_PAIRS]))
-        for est in _solve_all(domain, _lockstep(group)):
-            if isinstance(est, Exception):
-                est.pair, est.estimates = len(estimates), tuple(estimates)
-                raise est
-            estimates.append(est)
-    return tuple(estimates)
+    stack_p, stack_v = p.reshape(-1, 3), v.reshape(-1, 3)
+    frames, error = [], None
+    try:
+        for pk, vk in zip(stack_p, stack_v):
+            frames.append(_pair_frame(domain, pk, vk))
+    except Exception as exc:
+        error = exc
+    k = len(frames)
+    estimates, failed = _search(domain, stack_p[:k], stack_v[:k], frames)
+    error = failed or error  # a certification error comes from an earlier pair
+    if error is not None:
+        error.pair, error.estimates = len(estimates), estimates
+        raise error
+    return estimates[0] if p.ndim == 1 else estimates
 
 
 # ---------------------------------------------------------------------------

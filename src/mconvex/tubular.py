@@ -601,6 +601,8 @@ def curvature_bounds_check(
 ) -> CurvatureBoundsReport:
     pts = np.atleast_2d(np.asarray(boundary_samples, dtype=float))
     numkit.require_finite("boundary_samples", pts)
+    if not 0.0 < eps < np.inf:  # false for NaN
+        raise ValueError(f"eps must be positive and finite, got eps = {eps}")
     lower = -(m - 1) / eps
     upper = 1.0 / eps
     nu = surfaces.boundary_frames(domain, pts).curvatures

@@ -141,6 +141,18 @@ def test_huge_domain_length_exits_2_naming_path(tmp_path, capsys, name, arg):
     surfaces.make_domain(name, **{arg: 1e150})
 
 
+def test_reach_of_tiny_sphere_fails_naming_eps(tmp_path):
+    # the reach of this sphere estimates to 0, and its curvature bounds
+    # divided by it: the failure record read "ZeroDivisionError: float
+    # division by zero"
+    out = tmp_path / "report.jsonl"
+    cfg = write_cfg(tmp_path, {"kind": "reach", "domain": {"name": "sphere", "radius": 1.0e-20},
+                               "grid": {"boundary": 16}, "reach": {"m": 2, "probes": 4}})
+    assert cli.main(["reach", "--config", cfg, "--out", str(out)]) == 1
+    assert ('{"record":"failure","message":"ValueError: eps must be positive and finite, '
+            'got eps = 0.0"}') in out.read_text().splitlines()
+
+
 def test_yaml_syntax_error_exits_2_naming_file(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
     path.write_text("kind: barrier\ndomain: {name: sphere}\nbarrier: {m: 2\n")

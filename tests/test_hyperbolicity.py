@@ -219,8 +219,9 @@ def test_outside_domain_error_carries_its_point():
 
 
 def test_metric_search_rounds_stay_few(monkeypatch):
-    # the orientation search runs its planes in lockstep grids, so a pair
-    # takes about 90 radius solves; a sequential angle refinement took 442
+    # the orientation search runs each grid's planes in lockstep, one radius
+    # solve per round of all their pattern searches, so a pair takes about 90
+    # radius solves; a sequential angle refinement took 442
     calls = []
     solve = hyp._disc_radii
 
@@ -263,6 +264,59 @@ def test_metric_stack_phi_points_stay_few():
         p[k] *= radius / np.linalg.norm(p[k])
     assert all(est.containment_checked for est in hyp.metric_upper_bound(counted, p, v))
     assert sum(points) <= 0.55 * 33_412_019
+
+
+def acceptance_pairs(count):
+    """The first ``count`` pairs of acceptance criterion 7's draws."""
+    rng = np.random.default_rng(2024)
+    p, v = np.zeros((count, 3)), np.zeros((count, 3))
+    for k in range(count):
+        v[k] = rng.standard_normal(3)
+        radius = 0.9 * rng.uniform() ** (1.0 / 3.0)
+        p[k] = rng.standard_normal(3)
+        p[k] *= radius / np.linalg.norm(p[k])
+    return p, v
+
+
+def test_metric_stack_runs_in_one_lockstep(monkeypatch):
+    # every pair of a stack searches in lockstep, so a round of all their
+    # searches is one radius solve: ten pairs took 196 solves when they were
+    # searched in groups of eight, each pair at its own pace
+    calls = []
+    solve = hyp._disc_radii
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hyp, "_disc_radii", counted)
+    stack = hyp.metric_upper_bound(surfaces.sphere(), *acceptance_pairs(10))
+    assert all(est.containment_checked for est in stack)
+    assert len(calls) <= 150
+
+
+def test_threshold_probes_do_not_repeat(monkeypatch):
+    # on the ball the Hessian floor is 0, so a row's probe radius is the
+    # same before each grid; a row whose probe circle came back inside was
+    # probed again at that radius (4,299 of 23,821 probes of a seed-0 bench
+    # pass)
+    seen, repeats = set(), []
+    solve, leave = hyp._disc_radii, hyp._circles_leave
+
+    def solving(*args, **kwargs):
+        seen.clear()
+        return solve(*args, **kwargs)
+
+    def probing(domain, centers, rings, plane, radii):
+        for key in zip(map(bytes, centers), plane.tolist(), radii.tolist()):
+            repeats.append(key in seen)
+            seen.add(key)
+        return leave(domain, centers, rings, plane, radii)
+
+    monkeypatch.setattr(hyp, "_disc_radii", solving)
+    monkeypatch.setattr(hyp, "_circles_leave", probing)
+    hyp.metric_upper_bound(surfaces.sphere(), *acceptance_pairs(3))
+    assert len(repeats) > 1000 and not any(repeats)
 
 
 def test_metric_monotone_under_inclusion():

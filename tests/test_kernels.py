@@ -22,11 +22,13 @@ within 1e-12 * (1 + |reference|) and its multiplicities exactly, and a
 point with no converged start the same ProjectionError message with its
 residual and best foot within 1e-12; on the catenoid the feet must also lie
 within 1e-12 of an independent meridian-plane minimiser. The lockstep disc
-search is also checked against itself: radii solved with per-row planes and
-with candidates dropped as unable to win must equal those solved one plane
-at a time without dropping (and a dropped row must truly not win, also
-on a ball with thin spikes where phi is not monotone along a ray), and a
-stack of pairs must give, bit for bit, the estimates of one pair at a time.
+search, which runs the pattern searches of every pair of a stack as rows of
+one array state, is also checked against itself: radii solved with per-row
+planes and with candidates dropped as unable to win must equal those solved
+one plane at a time without dropping (and a dropped row must truly not win,
+also on a ball with thin spikes where phi is not monotone along a ray), and
+a stack of pairs (of 6 and of 10, one pair with no disc) must give, bit for
+bit, the estimates of one pair at a time.
 The Omega_D and convex probes are checked against their per-point
 containment: the scalar membership and vertical-disc test must give the
 same membership and every ChainBound field bit for bit, and the per-trial
@@ -1118,6 +1120,67 @@ def test_stacked_metric_matches_per_pair(name):
             one.bound, one.offset, one.witness.radius)
         for field in ("center", "u", "w"):
             assert np.array_equal(getattr(est.witness, field), getattr(one.witness, field))
+
+
+def just_inside(domain, inner, outer):
+    """A point of the segment from ``inner`` (inside) to ``outer`` (outside)
+    where -1e-9 < phi < 0, found by bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(domain.phi(inner + mid * (outer - inner))) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    point = inner + lo * (outer - inner)
+    assert -1e-9 < float(domain.phi(point)) < 0.0
+    return point
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid"])
+def test_ten_pair_stack_matches_per_pair(name):
+    # ten pairs, more than the eight that were once searched in lockstep at
+    # a time; pair 3 lies so near the boundary that its centre has no disc
+    domain = {"sphere": surfaces.sphere(), "catenoid": surfaces.catenoid()}[name]
+    rng = np.random.default_rng(37)
+    v = rng.standard_normal((10, 3))
+    p = rng.standard_normal((10, 3))
+    p *= (0.9 * rng.uniform(size=10) ** (1.0 / 3.0) / np.linalg.norm(p, axis=1))[:, None]
+    p[3] = just_inside(domain, np.zeros(3), np.array([3.0, 0.5, 0.2]))
+    stack = hyperbolicity.metric_upper_bound(domain, p, v)
+    assert len(stack) == 10
+    assert stack[3].bound == math.inf and not stack[3].containment_checked
+    assert sum(est.containment_checked for est in stack) == 9
+    for est, pi, vi in zip(stack, p, v):
+        one = hyperbolicity.metric_upper_bound(domain, pi, vi)
+        assert (est.bound, est.offset, est.witness.radius, est.containment_checked) == (
+            one.bound, one.offset, one.witness.radius, one.containment_checked)
+        for field in ("center", "u", "w"):
+            assert np.array_equal(getattr(est.witness, field), getattr(one.witness, field))
+
+
+def test_stacked_metric_certification_error_names_its_pair():
+    # a Hessian floor that fails when certifying pair 1's witness
+    ball = surfaces.sphere()
+    p = np.array([[0.1, 0.2, 0.0], [0.0, 0.3, 0.1], [-0.2, 0.0, 0.4]])
+    v = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 1.0]])
+    first = hyperbolicity.metric_upper_bound(ball, p[0], v[0])
+    center = hyperbolicity.metric_upper_bound(ball, p[1], v[1]).witness.center
+
+    def hess_floor(c, radius):
+        if np.array_equal(c, center):
+            raise RuntimeError("no floor at this centre")
+        return ball.hess_floor(c, radius)
+
+    domain = surfaces.ImplicitDomain("floored-ball", 3, ball.phi, ball.grad, ball.hess,
+                                     hess_floor=hess_floor)
+    with pytest.raises(RuntimeError, match="no floor at this centre") as info:
+        hyperbolicity.metric_upper_bound(domain, p, v)
+    assert info.value.pair == 1
+    (est,) = info.value.estimates
+    assert (est.bound, est.offset, est.witness.radius) == (
+        first.bound, first.offset, first.witness.radius)
+    assert np.array_equal(est.witness.center, first.witness.center)
 
 
 def test_stacked_metric_error_names_first_failing_pair():

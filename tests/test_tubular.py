@@ -558,6 +558,16 @@ def test_curvature_bounds_examples():
     assert rep.worst_upper >= 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+def test_curvature_bounds_reject_eps_that_is_not_positive_and_finite(eps):
+    # the reach of a sphere of radius 1e-20 estimates to 0, and the reach
+    # pipeline then ended in ZeroDivisionError; a negative, NaN or infinite
+    # eps gave bounds with no meaning
+    ball = surfaces.sphere()
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite, got eps = "):
+        tubular.curvature_bounds_check(ball, eps, 2, ball.boundary_samples(16))
+
+
 def test_curvature_bounds_violation_detected():
     # inconsistent eps: the unit ball cannot have a tube of radius 2
     ball = surfaces.sphere()
