@@ -102,31 +102,34 @@ CERTIFY_ITERS = 40
 PHI_POINTS = 4096
 
 
-def _circle_margins_many(domain, centers, rings, plane, radii):
-    """Boundary-circle maxima of phi (B, R) for radii (B, R) about B centers,
-    row i on the unit ring ``rings[plane[i]]`` of the (P, A, n) table."""
+def _ring_max(domain, centers, rings, plane, radii):
+    """The maxima of phi (B, R), NaN where a sample is, over the circles
+    centers[i] + radii[i, j] u, u over the unit points ``rings[plane[i]]`` of
+    a (P, A, n) table; ``PHI_POINTS`` points per phi call at most, or one row."""
     count, n = rings.shape[1:]
-    pts = radii[:, :, None] * rings.reshape(len(rings), -1)[plane, None, :]
-    pts += centers.repeat(count, axis=0).reshape(len(centers), 1, -1)  # np.tile(centers, count)
-    vals = np.asarray(domain.phi(pts.reshape(-1, n)), dtype=float)
-    return vals.reshape(radii.shape + (-1,)).max(axis=-1)
+    flat = rings.reshape(len(rings), -1)
+    rows = max(1, PHI_POINTS // (radii.shape[1] * count))
+    out = np.empty(radii.shape)
+    for k in range(0, len(radii), rows):
+        r = radii[k:k + rows]
+        pts = r[:, :, None] * flat[plane[k:k + rows], None, :]
+        pts += centers[k:k + rows].repeat(count, axis=0).reshape(len(r), 1, -1)  # np.tile
+        vals = np.asarray(domain.phi(pts.reshape(-1, n)), dtype=float)
+        out[k:k + rows] = vals.reshape(r.shape + (-1,)).max(axis=-1)
+        del pts, vals  # freed before the next chunk's points are built
+    return out
 
 
 def _first_exit(domain, centers, rings, plane, radii, stop, chunk):
     """Per row, the first column of radii whose circle leaves the domain or
-    where ``stop`` is set (R if none); ``chunk`` columns and at most
-    ``PHI_POINTS`` points per field evaluation, so a row's circles past its
-    first exit chunk are never evaluated."""
+    where ``stop`` is set (R if none), ``chunk`` columns per ``_ring_max``
+    call, so a row's circles past its first exit chunk are never evaluated."""
     first = np.full(len(radii), radii.shape[1])
     left = np.arange(len(radii))
-    rows = max(1, PHI_POINTS // (chunk * rings.shape[1]))
     for k in range(0, radii.shape[1], chunk):
         if left.size == 0:
             break
-        hit = np.concatenate([
-            _circle_margins_many(domain, centers[b], rings, plane[b], radii[b, k:k + chunk])
-            for b in (left[i:i + rows] for i in range(0, left.size, rows))
-        ])
+        hit = _ring_max(domain, centers[left], rings, plane[left], radii[left, k:k + chunk])
         # a NaN sample makes the maximum NaN, which is not inside
         hit = ~(hit <= CONTAINMENT_MARGIN) | stop[left, k:k + chunk]
         done = hit.any(axis=1)
@@ -137,14 +140,8 @@ def _first_exit(domain, centers, rings, plane, radii, stop, chunk):
 
 def _circles_leave(domain, centers, rings, plane, radii):
     """Per row, whether the circle of radius ``radii`` leaves the domain: some
-    sample has phi above ``CONTAINMENT_MARGIN`` (a NaN sample decides nothing);
-    at most ``PHI_POINTS`` points per field evaluation."""
-    rows = max(1, PHI_POINTS // rings.shape[1])
-    return np.concatenate([np.zeros(0, bool)] + [
-        _circle_margins_many(domain, centers[k:k + rows], rings, plane[k:k + rows],
-                             radii[k:k + rows, None])[:, 0] > CONTAINMENT_MARGIN
-        for k in range(0, len(radii), rows)
-    ])
+    sample has phi above ``CONTAINMENT_MARGIN`` (a NaN sample decides nothing)."""
+    return _ring_max(domain, centers, rings, plane, radii[:, None])[:, 0] > CONTAINMENT_MARGIN
 
 
 def _threshold_radii(beat, a2):
@@ -185,14 +182,16 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
       probe drops nothing). On any domain q is the last column of the coming
       grid whose score does not beat: if its circle leaves, the grid's first
       exit is at or before it. Where the domain's ``hess_floor`` is 0 on one
-      ball holding every row's ball B(c, T), q is the largest radius in the
-      bracket whose score does not beat (``_threshold_radii``), probed at
-      most once per row, as q does not change from grid to grid: phi is then
-      convex along each sampled ray, the centre is inside, and R is 0 or a
-      radius whose circle was evaluated inside, so every circle up to R is
-      inside at the sampled angles and a circle at q that leaves means R < q.
+      ball holding every row's ball B(c, T) (one one-row call), q is the
+      largest radius in the bracket whose score does not beat
+      (``_threshold_radii``), probed at most once per row, as q does not
+      change from grid to grid: phi is then convex along each sampled ray,
+      the centre is inside, and R is 0 or a radius whose circle was
+      evaluated inside, so every circle up to R is inside at the sampled
+      angles and a circle at q that leaves means R < q.
     A kept row is solved exactly as without ``beat``, and a row with
-    ``beat = -inf`` is never dropped.
+    ``beat = -inf`` is never dropped; so its bracket top is the one its
+    witness certificate in ``metric_upper_bound`` bisects up to.
     """
     if plane is None:
         rings, plane = rings[None], np.zeros(len(centers), dtype=int)
@@ -232,8 +231,8 @@ def _disc_radii(domain, centers, rings, plane=None, beat=None, a2=None):
             out = low[:, -1]
             c = centers[rows]
             mid = 0.5 * (c.min(axis=0) + c.max(axis=0))
-            big = float(np.max(numkit.row_norms(c - mid)[:, 0] + top))
-            if domain.hess_floor is not None and domain.hess_floor(mid, big) == 0.0:
+            big = np.max(numkit.row_norms(c - mid)[:, 0] + top, keepdims=True)
+            if domain.hess_floor is not None and domain.hess_floor(mid[None], big)[0] == 0.0:
                 q = tp[rows]
                 # a row whose probe at q came back inside is not probed there again
                 probe = (lo < q) & (q < top) & ~tried[rows]
@@ -275,26 +274,21 @@ def _disc_certificate(domain, center, span, top):
     """
     n = center.size
     grow = 1.0 / math.cos(math.pi / MESH_ANGLES)
-
-    def slack(radius):
-        """M of the ball holding the mesh of ``radius``."""
-        return -min(domain.hess_floor(center, radius * grow), 0.0)
-
-    rings = 1 if slack(top) == 0.0 else MESH_RINGS
+    rings = 1 if domain.hess_floor(center[None], np.array([top * grow]))[0] >= 0.0 else MESH_RINGS
     r = np.arange(rings + 1) * (grow / rings)
-    unit = plane_ring(0.0, span, r[1:, None, None], MESH_ANGLES).reshape(-1, n)
+    unit = plane_ring(0.0, span, r[1:, None, None], MESH_ANGLES).reshape(1, -1, n)
     if rings > 1:
-        unit = np.vstack([np.zeros(n), unit])
+        unit = np.concatenate([np.zeros((1, 1, n)), unit], axis=1)
     # a cell's diameter is its diagonal or its outer chord
     cos = math.cos(2.0 * math.pi / MESH_ANGLES)
     d2 = float(np.max(np.maximum(r[:-1] ** 2 + r[1:] ** 2 - 2.0 * cos * r[:-1] * r[1:],
                                  2.0 * (1.0 - cos) * r[1:] ** 2)))
 
     def certified(radii, rows):
-        pts = center + radii[:, None, None] * unit
-        vals = np.asarray(domain.phi(pts.reshape(-1, n)), dtype=float).reshape(len(radii), -1)
-        m = 0.0 if rings == 1 else np.array([slack(x) for x in radii.tolist()])
-        return vals.max(axis=1) + 0.5 * d2 * m * radii * radii <= CONTAINMENT_MARGIN
+        centers = np.broadcast_to(center, (len(radii), n))
+        vals = _ring_max(domain, centers, unit, np.zeros(len(radii), int), radii[:, None])[:, 0]
+        m = 0.0 if rings == 1 else -np.minimum(domain.hess_floor(centers, radii * grow), 0.0)
+        return vals + 0.5 * d2 * m * radii * radii <= CONTAINMENT_MARGIN
 
     return certified
 
@@ -324,23 +318,24 @@ def _offset_searches(domain, base, vhat, w, rings, s, coarse):
     starts at ``s[i]``. Each round scores the eight neighbours of every live
     search in one solve; the first, in ``dirs`` order, that beats the
     search's best wins, and otherwise its step halves. The per-search best
-    score (-inf where the start has no disc) and its offset."""
+    score (-inf where the start has no disc), its offset, and its disc's
+    bracket top from ``_disc_radii``, the same as a new solve of it alone."""
 
     def scores(search, z, beat):
         """Per row, the score of the disc at offset z of search ``search``:
         1/bound of its radius times ``_INSCRIBED``, and -inf for a degenerate
-        disc or one dropped as unable to beat ``beat``; also the radii."""
+        disc or one dropped as unable to beat ``beat``; also the radii and tops."""
         s1, s2 = z.real, z.imag
         centers = base[search] + s1[:, None] * vhat[search] + s2[:, None] * w[search]
-        radius = _disc_radii(domain, centers, rings, search, beat, s1 * s1 + s2 * s2)[0]
+        radius, top = _disc_radii(domain, centers, rings, search, beat, s1 * s1 + s2 * s2)
         a = np.array([math.hypot(x, y) for x, y in zip(s1.tolist(), s2.tolist())])
         r = radius * _INSCRIBED
         good = (r > a * (1.0 + 1e-12)) & (r > 0.0)  # false for NaN
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(good, (r * r - a * a) / r, -np.inf), radius
+            return np.where(good, (r * r - a * a) / r, -np.inf), radius, top
 
     s = s.astype(complex)
-    best, radius = scores(np.arange(len(s)), s, np.full(len(s), -np.inf))
+    best, radius, top = scores(np.arange(len(s)), s, np.full(len(s), -np.inf))
     step = 0.25 * radius
     floor = 1e-4 * np.maximum(1.0, radius) * (10.0 if coarse else 1.0)
     h = 0.7071067811865476
@@ -353,16 +348,16 @@ def _offset_searches(domain, base, vhat, w, rings, s, coarse):
         trial = s[live, None] + step[live, None] * dirs
         fresh = trial != back[live, None]
         search = np.broadcast_to(live[:, None], fresh.shape)[fresh]
-        score = np.full(fresh.shape, -np.inf)
-        score[fresh] = scores(search, trial[fresh], best[search])[0]
+        score, hi = np.full(fresh.shape, -np.inf), np.full(fresh.shape, np.nan)
+        score[fresh], _, hi[fresh] = scores(search, trial[fresh], best[search])
         gain = score > best[live, None]
         won = gain.any(axis=1)
         j, at = np.argmax(gain[won], axis=1), live[won]
         back[at] = s[at]
-        best[at], s[at] = score[won, j], trial[won, j]
+        best[at], s[at], top[at] = score[won, j], trial[won, j], hi[won, j]
         step[live[~won]] *= 0.5
         live = live[step[live] > floor[live]]
-    return best, s
+    return best, s, top
 
 
 def _search(domain, p, v, frames):
@@ -400,7 +395,7 @@ def _search(domain, p, v, frames):
         pair = live.repeat(ORIENTATIONS)
         angle = theta[live, None] + grid
         w, rings = planes(pair, angle.ravel())
-        r, s = (x.reshape(live.size, ORIENTATIONS) for x in _offset_searches(
+        r, s, _ = (x.reshape(live.size, ORIENTATIONS) for x in _offset_searches(
             domain, p[pair], vhat[pair], w, rings, s_b[pair], coarse=True))
         j = np.argmax(r, axis=1)  # the first best plane
         won = r[np.arange(live.size), j] > best[live]
@@ -411,16 +406,13 @@ def _search(domain, p, v, frames):
         grid = np.array([k for k in range(-half, half + 1) if k]) * (
             math.pi / ORIENTATIONS ** (level + 2))
     w, rings = planes(live, theta[live])
-    s = _offset_searches(domain, p[live], vhat[live], w, rings, s_b[live], coarse=False)[1]
+    _, s, top = _offset_searches(domain, p[live], vhat[live], w, rings, s_b[live], coarse=False)
 
     # the witnesses: per pair, one bisection of the certificate from 0 up to
-    # the top of the final centre's radius bracket, so only a certified
-    # radius comes back
+    # the top of the best disc's radius bracket (NaN at the cap), so only a
+    # certified radius comes back
     center = p[live] + s.real[:, None] * vhat[live] + s.imag[:, None] * w
-    radius, top = _disc_radii(domain, center, rings, np.arange(live.size))
     for i, k in enumerate(live.tolist()):
-        if radius[i] == 0.0:
-            continue
         top_i = RADIUS_CAP if math.isnan(top[i]) else float(top[i])
         try:
             certified = _disc_certificate(domain, center[i], np.stack([vhat[k], w[i]]), top_i)
@@ -456,8 +448,9 @@ def metric_upper_bound(
 
     The returned bound is always an upper bound for the pseudometric. Its
     witnessing disc is certified, pair by pair, by a bisection of the radius
-    from 0 on ``_disc_certificate``: phi is sampled on a polar mesh whose
-    polygon contains the disc, and the domain's ``hess_floor`` bounds phi
+    from 0 up to the top of the radius bracket the search found for it, on
+    ``_disc_certificate``: phi is sampled on a polar mesh whose polygon
+    contains the disc, and the domain's batched ``hess_floor`` bounds phi
     between the samples. A pair whose disc does not certify, and every pair
     of a domain without a ``hess_floor``, gets bound inf with
     ``containment_checked=False``. Points and directions lie in R^3, where the

@@ -66,13 +66,17 @@ class ImplicitDomain:
     ``exact_projection`` marks ``phi`` as the exact signed distance to the
     boundary and returns the foot, distance and multiplicity.
 
-    ``hess_floor(center, radius)`` returns some -M <= 0 with
-    ``phi + (M/2)|x|^2`` convex on the closed ball B(center, radius), that is
-    a lower bound on the eigenvalues of Hess ``phi`` there where ``phi`` is
-    C^2. Like ``reach_hint`` it is domain geometry; it is what certifies a
-    witness disc of the metric search, and a domain without it certifies none.
-    Where it is 0, ``phi`` is convex on the ball, which also lets the radius
-    solve of the search drop a losing candidate disc with one probe circle.
+    ``hess_floor(centers, radii)`` takes B balls, centres (B, n) and radii
+    (B,), and returns (B,) values -M <= 0, each with ``phi + (M/2)|x|^2``
+    convex on its closed ball B(centers[i], radii[i]), that is a lower bound
+    on the eigenvalues of Hess ``phi`` there where ``phi`` is C^2; row i
+    depends on row i alone. A floor that depends on the ball is NaN for a
+    NaN centre or radius and -inf where it overflows; neither certifies
+    anything. Like ``reach_hint`` it is domain geometry; it is what certifies
+    a witness disc of the metric search, and a domain without it certifies
+    none. Where it is 0, ``phi`` is convex on the ball, which also lets the
+    radius solve of the search drop a losing candidate disc with one probe
+    circle.
     """
 
     def __init__(
@@ -86,7 +90,7 @@ class ImplicitDomain:
         box: Optional[np.ndarray] = None,
         exact_projection: Optional[Callable[[np.ndarray], tuple]] = None,
         reach_hint: Optional[float] = None,
-        hess_floor: Optional[Callable[[np.ndarray, float], float]] = None,
+        hess_floor: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -305,9 +309,9 @@ def _radial(x: np.ndarray, k: int, order: int) -> np.ndarray:
     return h
 
 
-def _convex_floor(center, radius) -> float:
+def _convex_floor(centers, radii) -> np.ndarray:
     """The Hessian floor of a convex ``phi``."""
-    return 0.0
+    return np.zeros(len(radii))
 
 
 def _round(name, k, r, boundary, box) -> ImplicitDomain:
@@ -491,11 +495,11 @@ def catenoid(scale: float = 1.0, z_extent: float = 1.2) -> ImplicitDomain:
         pts = np.stack([r * np.cos(t), r * np.sin(t), vv], axis=-1)
         return pts[:count]
 
-    def hess_floor(center, radius):
+    def hess_floor(centers, radii):
         # rho is convex and -s cosh(x3/s) has second derivative -cosh(x3/s)/s;
         # an overflow gives -inf, which certifies nothing
         with np.errstate(over="ignore"):
-            return -float(np.cosh((abs(center[2]) + radius) / s)) / s
+            return -np.cosh((np.abs(centers[:, 2]) + radii) / s) / s
 
     rmax = s * np.cosh(z_extent / s)
     return ImplicitDomain(
@@ -538,11 +542,12 @@ def scherk() -> ImplicitDomain:
         h[..., 2, 0] = h[..., 0, 2]
         return h
 
-    def hess_floor(center, radius):
+    def hess_floor(centers, radii):
         # the Hessian's eigenvalues are cos x2 and +-e^x3 (its x1-x3 block has
-        # trace 0 and determinant -e^(2 x3)); an overflow gives -inf
+        # trace 0 and determinant -e^(2 x3)); an overflow gives -inf, and
+        # np.maximum keeps a NaN
         with np.errstate(over="ignore"):
-            return -max(1.0, float(np.exp(center[2] + radius)))
+            return -np.maximum(1.0, np.exp(centers[:, 2] + radii))
 
     def boundary(count):
         side = int(np.ceil(np.sqrt(count)))

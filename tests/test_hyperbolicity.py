@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,9 +121,9 @@ def spiked_ball(spikes, sigma=1e-4):
         pull = np.sum(g(x)[..., None] * (x[..., None, :] - spikes), axis=-2)
         return unit - pull / (sigma * sigma)
 
-    def hess_floor(center, radius):
-        d = np.maximum(0.0, np.linalg.norm(center - spikes, axis=-1) - radius)
-        return -float(np.sum(np.exp(-d * d / (2.0 * sigma * sigma)))) / (sigma * sigma)
+    def hess_floor(centers, radii):
+        d = np.maximum(0.0, np.linalg.norm(centers[:, None] - spikes, axis=-1) - radii[:, None])
+        return -np.sum(np.exp(-d * d / (2.0 * sigma * sigma)), axis=-1) / (sigma * sigma)
 
     return surfaces.ImplicitDomain("spiked-ball", 3, phi, grad, hess_floor=hess_floor)
 
@@ -152,15 +153,37 @@ def test_metric_witness_does_not_cross_a_thin_spike():
 def test_hess_floor_bounds_the_hessian(name):
     domain = surfaces.make_domain(name)
     rng = np.random.default_rng(4)
+    draws = []
     for _ in range(20):
         center, radius = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.01, 1.5)
         d = rng.standard_normal((500, 3))
         d *= radius * rng.uniform(0.0, 1.0, (500, 1)) ** (1.0 / 3.0) / np.linalg.norm(
             d, axis=1, keepdims=True)
+        draws.append((center, radius, d))
+    centers, radii, _ = (np.array(x) for x in zip(*draws))
+    floors = domain.hess_floor(centers, radii)
+    assert isinstance(floors, np.ndarray) and floors.shape == (20,)
+    for (center, radius, d), floor in zip(draws, floors):
+        # each row of the batch is the floor of its ball alone
+        assert np.array_equal(domain.hess_floor(center[None], np.array([radius])), [floor])
         eig = numkit.sym_eigen(domain.hess(center + d)).eigenvalues
-        floor = domain.hess_floor(center, radius)
         assert floor <= 0.0
         assert np.all(floor <= eig[:, 0] + 1e-9 * (1.0 + np.abs(eig).max(axis=1)))
+
+
+@pytest.mark.parametrize("name", ["catenoid", "scherk"])
+def test_hess_floor_certifies_nothing_past_overflow_or_at_nan(name):
+    # cosh and exp overflow far up the axis: the floor is -inf, with no
+    # warning; a NaN centre or radius gives NaN (Scherk's scalar
+    # -max(1.0, nan) gave -1 for either)
+    domain = surfaces.make_domain(name)
+    centers = np.array([[0.1, 0.2, 800.0], [0.3, -0.1, 799.0], [np.nan] * 3, [0.1, 0.2, 0.3],
+                        [0.1, 0.2, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floors = domain.hess_floor(centers, np.array([0.5, 2.0, 0.5, np.nan, 0.5]))
+    assert floors[0] == floors[1] == -np.inf
+    assert np.isnan(floors[2:4]).all() and -np.inf < floors[4] < 0.0
 
 
 def test_every_catalog_domain_has_a_hess_floor():

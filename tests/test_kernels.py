@@ -1003,6 +1003,56 @@ def test_metric_upper_bound_matches_sequential_search(name, seed):
     assert np.array_equal(est.witness.w, wit.w)
 
 
+@pytest.mark.parametrize(("name", "p", "v"), [
+    ("halfspace", [0.1, -0.2, -0.5], [1.0, 0.3, 0.0]),
+    ("slab", [0.1, 0.2, 0.3], [0.4, -1.0, 0.0]),
+])
+def test_metric_upper_bound_matches_sequential_search_at_the_cap(name, p, v):
+    # the best disc of these pairs reaches RADIUS_CAP: its bracket top is NaN
+    # and the certificate runs up to the cap
+    domain = surfaces.make_domain(name)
+    p, v = np.array(p), np.array(v)
+    est = hyperbolicity.metric_upper_bound(domain, p, v)
+    bound, offset, radius, wit = ref_metric_upper_bound(domain, p, v)
+    assert est.containment_checked and 999.0 < est.witness.radius < hyperbolicity.RADIUS_CAP
+    assert (est.bound, est.offset, est.witness.radius) == (bound, offset, radius)
+    assert np.array_equal(est.witness.center, wit.center)
+    assert np.array_equal(est.witness.w, wit.w)
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid"])
+def test_ring_max_chunks_keep_each_row(name):
+    # rows spread over several PHI_POINTS chunks get the bits of their own
+    # points, as alone; phi sees at most PHI_POINTS points per call unless one
+    # row holds more, which then goes alone
+    hyp, domain = hyperbolicity, surfaces.make_domain(name)
+    sizes = []
+
+    def phi(x):
+        sizes.append(len(x))
+        return domain.phi(x)
+
+    counted = surfaces.ImplicitDomain(name, 3, phi, domain.grad, domain.hess)
+    rng = np.random.default_rng(23)
+    spans = np.linalg.qr(rng.standard_normal((3, 3, 2)))[0].swapaxes(-1, -2)
+    rings = hyp.plane_ring(0.0, spans, 1.0, hyp.LATTICE_ANGLES)
+    centers, plane = rng.uniform(-0.5, 0.5, (50, 3)), rng.integers(0, 3, 50)
+    radii = rng.uniform(0.01, 1.5, (50, 5))
+    got = hyp._ring_max(counted, centers, rings, plane, radii)
+    assert len(sizes) >= 4 and max(sizes) <= hyp.PHI_POINTS and sum(sizes) == radii.size * rings.shape[1]
+    for i in range(50):
+        alone = hyp._ring_max(domain, centers[i:i + 1], rings, plane[i:i + 1], radii[i:i + 1])
+        assert np.array_equal(got[i], alone[0])
+        for j in range(5):
+            assert got[i, j] == np.max(domain.phi(radii[i, j] * rings[plane[i]] + centers[i]))
+    sizes.clear()
+    wide = hyp.plane_ring(0.0, spans[:1], 1.0, hyp.PHI_POINTS)
+    got = hyp._ring_max(counted, centers[:3], wide, np.zeros(3, int), radii[:3, :2])
+    assert sizes == [2 * hyp.PHI_POINTS] * 3
+    assert np.array_equal(got, [hyp._ring_max(domain, centers[i:i + 1], wide, np.zeros(1, int),
+                                              radii[i:i + 1, :2])[0] for i in range(3)])
+
+
 def recorded_solve(monkeypatch, *args, **kwargs):
     """``_disc_radii(*args, **kwargs)`` and the (B, R) radii handed to each
     of its ``_first_exit`` calls: the growth (R = 60), then the grids (R = 16)."""
@@ -1168,7 +1218,7 @@ def test_stacked_metric_certification_error_names_its_pair():
     center = hyperbolicity.metric_upper_bound(ball, p[1], v[1]).witness.center
 
     def hess_floor(c, radius):
-        if np.array_equal(c, center):
+        if np.all(c == center, axis=1).any():
             raise RuntimeError("no floor at this centre")
         return ball.hess_floor(c, radius)
 
